@@ -155,15 +155,28 @@ class Circuit:
     theta: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
+        """Reject IR the engines would index past or silently mis-simulate."""
         self.theta = np.asarray(self.theta, dtype=float)
-        seen = set()
+        if not np.isfinite(self.theta).all():
+            raise ValueError("theta must be finite")
+        n = self.n
         for layer in self.layers:
-            if isinstance(layer, BrickLayer):
-                for ids in layer.param_ids:
-                    for pid in ids:
-                        if pid in seen or not 0 <= pid < len(self.theta):
-                            raise ValueError(f"bad or reused param_id {pid}")
-                        seen.add(pid)
+            if isinstance(layer, RotationLayer):
+                if layer.axis not in ("X", "Y", "Z"):
+                    raise ValueError(f"unknown rotation axis {layer.axis!r}")
+                if len(layer.angles) != n:
+                    raise ValueError(f"rotation layer has {len(layer.angles)} angles "
+                                     f"for {n} qubits")
+                if not all(map(math.isfinite, layer.angles)):
+                    raise ValueError("rotation angles must be finite")
+            pairs = (layer.edges if isinstance(layer, CZLayer)
+                     else layer.pairs if isinstance(layer, BrickLayer) else ())
+            if not all(0 <= a < n and 0 <= b < n for a, b in pairs):
+                raise ValueError(f"qubit pair outside the {n}-qubit register in {pairs}")
+        ids = [pid for layer in self.layers if isinstance(layer, BrickLayer)
+               for brick in layer.param_ids for pid in brick]
+        if ids and (len(set(ids)) < len(ids) or min(ids) < 0 or max(ids) >= len(self.theta)):
+            raise ValueError("param_ids must be distinct indices into theta")
 
     @property
     def num_params(self) -> int:

@@ -108,7 +108,7 @@ def _load_circuit(path: str) -> Circuit:
             return circuit_from_json(fh.read())
     except FileNotFoundError:
         raise CliError(f"circuit file not found: {path}")
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"malformed circuit file {path}: {exc}")
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .pauli import PauliString
 from .seeding import rng_for
-from .statevector import StateVector, _apply_1q
+from .statevector import StateVector, apply_1q_inplace
 
 BASIS_LETTERS = "XYZ"
 
@@ -94,20 +94,20 @@ def collect_shadows(state: StateVector, num_samples: int, seed: int) -> ShadowSe
                 letters.append(rest % 3)
                 rest //= 3
             letters = letters[::-1]  # letters[q] = basis at qubit q
-            amps = state.amplitudes
+            amps = state.amplitudes.copy()
             for q in range(n):
                 if letters[q] != 2:
-                    amps = _apply_1q(amps, n, q, _BASIS_ROT[letters[q]])
+                    apply_1q_inplace(amps, n, q, _BASIS_ROT[letters[q]])
             probs = np.abs(amps) ** 2
             sel = combo == cid
             bits[sel] = _sample_bitstrings(probs, u[sel])
     else:
         bits = np.empty(num_samples, dtype=np.int64)
         for i in range(num_samples):
-            amps = state.amplitudes
+            amps = state.amplitudes.copy()
             for q in range(n):
                 if bases[i, q] != 2:
-                    amps = _apply_1q(amps, n, q, _BASIS_ROT[bases[i, q]])
+                    apply_1q_inplace(amps, n, q, _BASIS_ROT[bases[i, q]])
             bits[i] = _sample_bitstrings(np.abs(amps) ** 2, u[i:i + 1])[0]
 
     for q in range(n):

@@ -129,6 +129,31 @@ def test_param_ids_unique():
         Circuit(2, (layer, layer), np.zeros(15))
 
 
+@pytest.mark.parametrize("layer", [
+    CZLayer(((0, 9),)),  # edge leaves the register
+    CZLayer(((-1, 2),)),
+    BrickLayer(((2, 4),), (tuple(range(15)),)),
+    RotationLayer("X", "gen", (0.1, 0.2)),  # 2 angles for 4 qubits
+    RotationLayer("X", "gen", (0.1,) * 5),
+    RotationLayer("W", "gen", (0.1,) * 4),
+    RotationLayer("Y", "gen", (0.1, float("nan"), 0.0, 0.0)),
+    RotationLayer("Z", "gen", (0.1, float("inf"), 0.0, 0.0)),
+])
+def test_circuit_rejects_malformed_layers(layer):
+    with pytest.raises(ValueError):
+        Circuit(4, (layer,), np.zeros(15))
+
+
+def test_circuit_rejects_non_finite_theta():
+    layer = BrickLayer(((0, 1),), (tuple(range(15)),))
+    theta = np.zeros(15)
+    theta[3] = np.nan
+    with pytest.raises(ValueError):
+        Circuit(2, (layer,), theta)
+    with pytest.raises(ValueError):
+        build_trainable(2, 1, init="zeros").with_theta(np.full(15, np.inf))
+
+
 def test_brick_lightcone_trivial():
     assert brick_lightcone(8, 0, {3}) == {3}
     assert brick_lightcone(8, 1, {5}) == {4, 5}  # layer 0 pairs start at qubit 0

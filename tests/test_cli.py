@@ -94,6 +94,15 @@ def test_malformed_circuit_is_exit_2(tmp_path):
                    "--out", str(tmp_path / "s.csv"), "--quiet") == 2
 
 
+def test_out_of_range_edge_is_exit_2(tmp_path):
+    circ = tmp_path / "c.json"
+    circ.write_text(json.dumps({"n": 4, "theta": [], "layers": [
+        {"type": "rot", "axis": "X", "role": "gen", "angles": [0.1] * 4},
+        {"type": "cz", "edges": [[0, 9]]}]}))
+    assert run_cli("features", "--circuit", str(circ), "--tau2", "0.1",
+                   "--out", str(tmp_path / "f.csv"), "--quiet") == 2
+
+
 def test_experiment_command(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"experiment": "lightcone", "ns": [10, 20],

@@ -31,6 +31,15 @@ def test_deterministic():
     np.testing.assert_array_equal(a.outcomes, b.outcomes)
 
 
+@pytest.mark.parametrize("n, shots", [(3, 300), (10, 40)])  # enumerated, per-shot
+def test_collect_leaves_state_untouched(n, shots):
+    assert (3**n <= 20000) == (n == 3)
+    state = sv.run(build_generative(GenerativeSpec(n, 2, 0.4, 0.2, 8)))
+    before = state.amplitudes.copy()
+    collect_shadows(state, shots, seed=9)
+    assert state.amplitudes.tobytes() == before.tobytes()
+
+
 def test_bases_uniform():
     shadows = collect_shadows(sv.StateVector.zero(2), 30000, seed=2)
     counts = np.bincount(shadows.bases.ravel(), minlength=3)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qgenbench.circuits import (Circuit, CZLayer, GenerativeSpec, RotationLayer,
-                                Gate, build_generative, build_trainable, concatenate)
+from qgenbench.circuits import (BRICK_PARAMS, BrickLayer, Circuit, CZLayer, GenerativeSpec,
+                                RotationLayer, Gate, build_generative, build_trainable,
+                                concatenate)
 from qgenbench.pauli import PauliString, PauliSum, PauliTerm
 from qgenbench.statevector import (StateVector, apply_gate, apply_pauli,
                                    dense_pauli_matrix, expectation,
@@ -100,7 +103,6 @@ def test_rdm_respects_qubit_order():
 
 
 def _single_rxx_circuit(angle):
-    from qgenbench.circuits import BrickLayer
     theta = np.zeros(15)
     theta[6] = angle  # the RXX parameter of the brick template
     return Circuit(2, (BrickLayer(((0, 1),), (tuple(range(15)),)),), theta)
@@ -132,6 +134,16 @@ def test_parameter_shift_matches_finite_differences():
         assert ps == pytest.approx(fd, abs=1e-6)
 
 
+@pytest.mark.parametrize("bad", [np.full(45, np.nan), np.zeros(44), np.zeros(46)])
+def test_theta_override_is_checked(bad):
+    circ = build_trainable(4, 2, seed=1)  # 3 bricks, 45 parameters
+    obs = PauliSum.from_label(1.0, "ZIII")
+    with pytest.raises(ValueError):
+        run(circ, bad)
+    with pytest.raises(ValueError):
+        parameter_shift_gradient(circ, 0, obs, bad)
+
+
 def test_apply_pauli_matches_dense():
     rng = np.random.default_rng(12)
     n = 4
@@ -151,3 +163,93 @@ def test_norm_drift_many_gates():
                  float(rng.normal()))
         state = apply_gate(state, g)
     assert abs(state.norm() - 1.0) < 1e-9
+
+
+# --- differential tests on random circuits ---------------------------------
+
+_ANGLES = st.floats(-math.pi, math.pi, allow_nan=False)
+
+
+@st.composite
+def random_circuits(draw, min_n=1, trainable=False):
+    """Random mixes of rotation, CZ and brick layers on 1-7 qubits.
+
+    CZ layers may be empty and list edges in either orientation; brick pairs
+    come from a random qubit permutation, so they are reversed and
+    non-adjacent as often as not.  With `trainable`, at least one brick
+    layer has a brick.
+    """
+    n = draw(st.integers(min_n, 7))
+    kinds = draw(st.lists(st.sampled_from(["rot", "cz", "brick"]), max_size=6))
+    if trainable:
+        kinds.insert(draw(st.integers(0, len(kinds))), "trainable")
+    layers, next_id = [], 0
+    for kind in kinds:
+        if kind == "rot":
+            angles = draw(st.lists(_ANGLES, min_size=n, max_size=n))
+            layers.append(RotationLayer(draw(st.sampled_from("XYZ")), "gen", tuple(angles)))
+        elif kind == "cz":
+            edges = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            chosen = draw(st.lists(st.sampled_from(edges), unique=True)) if edges else []
+            layers.append(CZLayer(tuple(e[::-1] if draw(st.booleans()) else e
+                                        for e in chosen)))
+        else:
+            order = draw(st.permutations(range(n)))
+            k = draw(st.integers(1 if kind == "trainable" else 0, n // 2))
+            pairs = tuple((order[2 * i], order[2 * i + 1]) for i in range(k))
+            ids = tuple(tuple(range(next_id + BRICK_PARAMS * i, next_id + BRICK_PARAMS * (i + 1)))
+                        for i in range(k))
+            next_id += BRICK_PARAMS * k
+            layers.append(BrickLayer(pairs, ids))
+    theta = draw(st.lists(_ANGLES, min_size=next_id, max_size=next_id))
+    return Circuit(n, tuple(layers), np.array(theta))
+
+
+@st.composite
+def random_observables(draw, n):
+    terms = [PauliTerm(draw(st.floats(-1, 1)),
+                       PauliString(n, draw(st.integers(0, 2**n - 1)),
+                                   draw(st.integers(0, 2**n - 1))))
+             for _ in range(draw(st.integers(1, 3)))]
+    return PauliSum(n, terms)
+
+
+def _dense_gate(gate, n):
+    """Dense 2^n unitary of one gate, built without the engine's kernels."""
+    if gate.kind == "CZ":
+        idx = np.arange(2**n)
+        a, b = gate.qubits
+        return np.diag(np.where((idx >> a) & (idx >> b) & 1, -1.0, 1.0)).astype(complex)
+    gen = dense_pauli_matrix(gate.generator(n))
+    return math.cos(gate.angle) * np.eye(2**n) - 1j * math.sin(gate.angle) * gen
+
+
+@given(random_circuits())
+@settings(max_examples=80)
+def test_run_matches_gate_fold_and_dense_product(circ):
+    n = circ.n
+    fold = StateVector.zero(n)
+    dense = StateVector.zero(n).amplitudes
+    for gate in circ.gates():
+        fold = apply_gate(fold, gate)
+        dense = _dense_gate(gate, n) @ dense
+    got = run(circ).amplitudes
+    np.testing.assert_allclose(got, fold.amplitudes, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_shared_prefix_gradient_matches_two_runs(data):
+    circ = data.draw(random_circuits(min_n=2, trainable=True))
+    obs = data.draw(random_observables(circ.n))
+    bricks = [layer for layer in circ.layers if isinstance(layer, BrickLayer) and layer.pairs]
+    for layer in {id(b): b for b in (bricks[0], bricks[len(bricks) // 2], bricks[-1])}.values():
+        param = data.draw(st.sampled_from([p for ids in layer.param_ids for p in ids]))
+        shifted = []
+        for s in (math.pi / 4, -math.pi / 4):
+            theta = circ.theta.copy()
+            theta[param] += s
+            shifted.append(expectation(run(circ, theta), obs))
+        assert parameter_shift_gradient(circ, param, obs) == \
+            pytest.approx(shifted[0] - shifted[1], rel=0, abs=1e-12)
