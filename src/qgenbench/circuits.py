@@ -260,6 +260,16 @@ def default_depth(n: int) -> int:
     return max(1, math.ceil(math.log2(n)))
 
 
+def default_p(n: int) -> float:
+    """CZ edge probability ln(n)/n of the generative model."""
+    return math.log(n) / n
+
+
+def default_layers(n: int) -> int:
+    """Generative layer count ceil(ln n), at least 1."""
+    return max(1, math.ceil(math.log(n)))
+
+
 def build_trainable(n: int, depth: Optional[int] = None, seed: int = 0,
                     init: str = "uniform") -> Circuit:
     """Brick ansatz on a 1-D chain with alternating pair offsets."""

@@ -19,11 +19,12 @@ import numpy as np
 from . import __version__
 from .circuits import (Circuit, GenerativeSpec, RotationLayer, build_generative,
                        build_trainable, circuit_from_json, circuit_to_json,
-                       concatenate, resolve_tau2)
-from .experiments import (ConfigError, ExperimentConfig, read_csv, run_experiment,
-                          write_csv)
+                       concatenate, default_p, resolve_tau2)
+from .experiments import (CSV_COLUMNS, ConfigError, ExperimentConfig, read_csv,
+                          run_experiment, write_csv)
 from .pauli import PauliString, PauliSum, PauliTerm
-from .propagation import TruncationPolicy, benchmark_propagation, propagate
+from .propagation import (MAX_PROP_QUBITS, TruncationPolicy, benchmark_propagation,
+                          propagate)
 from .graphs import treewidth_trend
 from .seeding import derive_seed, rng_for
 from .shadows import collect_shadows, shadows_to_csv
@@ -53,6 +54,12 @@ def resample_generative_angles(circuit: Circuit, tau2: float, seed: int) -> Circ
     return Circuit(circuit.n, tuple(layers), circuit.theta)
 
 
+def _check_size(name: str, value: Optional[int], least: int) -> None:
+    """Reject a size below `least` before any work starts (None = default)."""
+    if value is not None and value < least:
+        raise CliError(f"{name} must be at least {least}, got {value}")
+
+
 def _default_observables(n: int) -> List[PauliString]:
     obs = [PauliString.single(n, q, "Z") for q in range(n)]
     for q in range(n - 1):
@@ -75,8 +82,11 @@ def _parse_observables(text: Optional[str], n: int) -> List[PauliString]:
 
 
 def cmd_gen(args) -> int:
+    _check_size("--n", args.n, 1)
+    _check_size("--layers", args.layers, 0)
+    _check_size("--trainable-depth", args.trainable_depth, 0)
     layers = args.layers
-    p = args.p if args.p is not None else math.log(args.n) / args.n
+    p = args.p if args.p is not None else default_p(args.n)
     if args.tau2 is not None:
         tau2 = args.tau2
     else:
@@ -230,33 +240,41 @@ def _line_chart_svg(points, xlabel: str, ylabel: str,
 
 def _parse_ns(text: str) -> List[int]:
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
+        ns = [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise CliError(f"bad n list {text!r}; expected comma-separated integers")
+    if not ns or min(ns) < 1:
+        raise CliError(f"bad n list {text!r}; expected positive integers")
+    return ns
 
 
 def cmd_pauliprop_bench(args) -> int:
+    ns = _parse_ns(args.ns)
+    if max(ns) > MAX_PROP_QUBITS:
+        raise CliError(f"propagation caps at {MAX_PROP_QUBITS} qubits, got n={max(ns)}")
+    _check_size("--trials", args.trials, 1)
+    _check_size("--layers", args.layers, 0)
+    _check_size("--trainable-depth", args.trainable_depth, 0)
     if args.exact:
         policy: Optional[TruncationPolicy] = TruncationPolicy.exact_mode(args.max_terms)
     elif args.sine_cutoff is not None:
         policy = TruncationPolicy(sine_cutoff=args.sine_cutoff, max_terms=args.max_terms)
     else:
         policy = None  # per-n default cutoff ceil(log2 n)
-    rows = benchmark_propagation(_parse_ns(args.ns), policy, args.trials, args.seed,
+    rows = benchmark_propagation(ns, policy, args.trials, args.seed,
                                  layers=args.layers, p=args.p,
                                  trainable_depth=args.trainable_depth)
-    columns = ["n", "trial", "policy_id", "expectation", "error_vs_exact",
-               "peak_terms", "final_terms", "dropped_mass", "wall_time_s"]
-    write_csv(args.out, rows, columns)
+    write_csv(args.out, rows, CSV_COLUMNS["pauliprop"])
     _info(args, f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
 
 def cmd_graph_stats(args) -> int:
-    rows = treewidth_trend(_parse_ns(args.ns), args.trials, args.seed,
-                           p=args.p, layers=args.layers)
-    write_csv(args.out, rows, ["n", "trial", "layers", "edges",
-                               "degeneracy_lb", "minfill_ub"])
+    ns = _parse_ns(args.ns)
+    _check_size("--trials", args.trials, 1)
+    _check_size("--layers", args.layers, 1)
+    rows = treewidth_trend(ns, args.trials, args.seed, p=args.p, layers=args.layers)
+    write_csv(args.out, rows, CSV_COLUMNS["treewidth"])
     _info(args, f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
@@ -277,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker hint; results are identical at any value")
         p.add_argument("--quiet", action="store_true")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -311,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--quiet", action="store_true")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.set_defaults(func=cmd_experiment)
 

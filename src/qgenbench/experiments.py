@@ -18,7 +18,7 @@ import numpy as np
 
 from .circuits import (Circuit, BrickLayer, GenerativeSpec, backward_lightcone,
                        build_generative, build_trainable, concatenate, default_depth,
-                       resolve_tau2)
+                       default_layers, default_p, resolve_tau2)
 from .metrics import distinguishability, weak_subvolume_gap
 from .pauli import PauliString, PauliSum, PauliTerm
 from .propagation import TruncationPolicy, benchmark_propagation
@@ -104,10 +104,10 @@ class ExperimentConfig:
             return self.layers
         if self.experiment == "subvolume":
             return 2
-        return max(1, math.ceil(math.log(n)))
+        return default_layers(n)
 
     def resolved_p(self, n: int) -> float:
-        return self.p if self.p is not None else math.log(n) / n
+        return self.p if self.p is not None else default_p(n)
 
     def resolved_tau2(self, n: int) -> float:
         if self.tau2 is not None:
@@ -246,7 +246,7 @@ def lightcone_spread_experiment(config: ExperimentConfig) -> List[dict]:
     return rows
 
 
-_CSV_COLUMNS = {
+CSV_COLUMNS = {
     "subvolume": ["n", "L", "tau2", "S", "trials", "mean_tr_sq", "se_tr_sq",
                   "mean_I2", "se_I2", "bound", "pass", "mean_gap"],
     "gradvar": ["n", "depth", "trials", "variance", "se", "slope_fit", "arm"],
@@ -305,7 +305,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> Dict[str, str]:
 
     rows = drivers[config.experiment](config)
     csv_path = os.path.join(out_dir, f"{config.experiment}.csv")
-    write_csv(csv_path, rows, _CSV_COLUMNS[config.experiment])
+    write_csv(csv_path, rows, CSV_COLUMNS[config.experiment])
     manifest = {
         "version": f"qgenbench-{VERSION}",
         "config": config.to_json_obj(),

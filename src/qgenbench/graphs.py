@@ -8,11 +8,11 @@ the contraction-hardness trend studies need.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Set, Tuple
 
-from .circuits import Circuit, CZLayer, LayerGraph, backward_lightcone, sample_er_graph
+from .circuits import (Circuit, CZLayer, LayerGraph, backward_lightcone, default_layers,
+                       default_p, sample_er_graph)
 from .seeding import derive_seed
 
 
@@ -123,8 +123,8 @@ def treewidth_trend(ns, trials: int, seed: int, *, p: float | None = None,
     """
     rows = []
     for n in ns:
-        pn = p if p is not None else math.log(n) / n
-        L = layers if layers is not None else max(1, math.ceil(math.log(n)))
+        pn = p if p is not None else default_p(n)
+        L = layers if layers is not None else default_layers(n)
         for trial in range(trials):
             samples = [sample_er_graph(n, pn, derive_seed(seed, n, trial, l))
                        for l in range(L)]

@@ -1,20 +1,17 @@
-"""Exact Pauli-string algebra on bitmask-encoded operators.
+"""Pauli observables: bitmask-encoded strings and real-coefficient sums.
 
 Strings are encoded as a pair of n-bit masks (x, z): bit q of ``x`` set means
 an X component on qubit q, bit q of ``z`` a Z component.  (x,z) per qubit maps
 to a letter as (0,0)=I, (1,0)=X, (1,1)=Y, (0,1)=Z.  Phases are never stored on
-strings; they live in term coefficients.
-
-Rotation gates follow the generator convention R(g) = exp(-i*g*G) with G a
-Pauli, so conjugating an anticommuting string P gives
-cos(2g)*P + sin(2g)*(iGP).
+strings; they live in term coefficients.  Heisenberg conjugation of these
+sums through a circuit lives in :mod:`.propagation`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator
 
 # |coefficient| below this is treated as exact zero and dropped on merge.
 COEFF_EPS = 1e-15
@@ -22,30 +19,9 @@ COEFF_EPS = 1e-15
 _LETTERS = "IXYZ"
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
-# Single-qubit product table: (a_idx, b_idx) -> (phase exponent k with
-# phase = i**k, result letter index).  Letter index: I=0, X=1, Y=2, Z=3.
-_MUL_TABLE = {}
-for _a in range(4):
-    for _b in range(4):
-        if _a == 0:
-            _MUL_TABLE[(_a, _b)] = (0, _b)
-        elif _b == 0:
-            _MUL_TABLE[(_a, _b)] = (0, _a)
-        elif _a == _b:
-            _MUL_TABLE[(_a, _b)] = (0, 0)
-        else:
-            _c = 6 - _a - _b  # the remaining non-identity letter
-            # cyclic X->Y->Z->X picks up +i, anti-cyclic -i
-            _cyclic = (_a, _b) in ((1, 2), (2, 3), (3, 1))
-            _MUL_TABLE[(_a, _b)] = (1 if _cyclic else 3, _c)
-
 
 class PauliDimensionError(ValueError):
     """Raised when operands act on different qubit counts."""
-
-
-class UnsupportedGeneratorError(ValueError):
-    """Raised when a rotation generator is not a valid Pauli string."""
 
 
 @dataclass(frozen=True)
@@ -91,66 +67,14 @@ class PauliString:
     def label(self) -> str:
         return "".join(_LETTERS[self.letter_index(q)] for q in range(self.n))
 
-    @property
-    def support(self) -> int:
-        return self.x | self.z
-
     def weight(self) -> int:
         return (self.x | self.z).bit_count()
 
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0
 
-    def is_z_type(self) -> bool:
-        """True iff every letter is I or Z."""
-        return self.x == 0
-
     def __str__(self) -> str:
         return self.label()
-
-
-def _check_same_n(p: PauliString, q: PauliString) -> None:
-    if p.n != q.n:
-        raise PauliDimensionError(f"qubit counts differ: {p.n} vs {q.n}")
-
-
-def multiply(p: PauliString, q: PauliString) -> Tuple[complex, PauliString]:
-    """Product PQ as ``(phase, string)`` with phase in {1, -1, 1j, -1j}."""
-    _check_same_n(p, q)
-    k = 0
-    both = (p.x | p.z) & (q.x | q.z)
-    m = both
-    while m:
-        b = m & -m
-        qi = b.bit_length() - 1
-        k += _MUL_TABLE[(p.letter_index(qi), q.letter_index(qi))][0]
-        m ^= b
-    return 1j ** (k % 4), PauliString(p.n, p.x ^ q.x, p.z ^ q.z)
-
-
-def commutes(p: PauliString, q: PauliString) -> bool:
-    """True iff PQ = QP (symplectic inner product is even)."""
-    _check_same_n(p, q)
-    return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2 == 0
-
-
-def conjugate_cz(p: PauliString, edge: Tuple[int, int]) -> Tuple[int, PauliString]:
-    """CZ_{ab} P CZ_{ab} as ``(sign, string)``; Z-type strings are fixed."""
-    a, b = edge
-    if a == b:
-        raise ValueError("CZ needs two distinct qubits")
-    xa = (p.x >> a) & 1
-    xb = (p.x >> b) & 1
-    za = (p.z >> a) & 1
-    zb = (p.z >> b) & 1
-    z = p.z ^ (xb << a) ^ (xa << b)
-    sign = -1 if (xa & xb & (za ^ zb)) else 1
-    return sign, PauliString(p.n, p.x, z)
-
-
-def z_substitute(p: PauliString) -> PauliString:
-    """Replace every non-identity letter with Z; support is unchanged."""
-    return PauliString(p.n, 0, p.x | p.z)
 
 
 @dataclass(frozen=True)
@@ -201,61 +125,3 @@ class PauliSum:
 
     def __iter__(self) -> Iterator[PauliTerm]:
         return iter(self.terms.values())
-
-    def l2_norm_sq(self) -> float:
-        return sum(t.coefficient**2 for t in self)
-
-    def to_json_obj(self) -> list:
-        return [
-            {"coeff": t.coefficient, "pauli": t.string.label(), "sines": t.sine_count}
-            for t in sorted(self, key=lambda t: (t.string.x, t.string.z))
-        ]
-
-    @classmethod
-    def from_json_obj(cls, obj: list, n: int | None = None) -> "PauliSum":
-        if not obj and n is None:
-            raise ValueError("qubit count needed for an empty sum")
-        if n is None:
-            n = len(obj[0]["pauli"])
-        s = cls(n)
-        for d in obj:
-            s.add(PauliTerm(d["coeff"], PauliString.from_label(d["pauli"]), d.get("sines", 0)))
-        return s
-
-
-def conjugate_rotation(s: PauliSum, generator: PauliString, angle: float) -> PauliSum:
-    """Heisenberg image exp(igG) S exp(-igG) of a Pauli sum.
-
-    Generators are Pauli strings of weight 1 or 2 (single-qubit rotations and
-    the XX/YY/ZZ bricks).  Commuting terms pass through; an anticommuting term
-    P splits into cos(2g) P + sin(2g) (iGP), incrementing sine_count on the
-    sine branch.
-    """
-    if generator.weight() not in (1, 2):
-        raise UnsupportedGeneratorError("generator must be a weight-1 or weight-2 Pauli")
-    if generator.n != s.n:
-        raise PauliDimensionError("generator qubit count differs from sum")
-    c2, s2 = math.cos(2 * angle), math.sin(2 * angle)
-    out = PauliSum(s.n)
-    for t in s:
-        if commutes(generator, t.string):
-            out.add(t)
-            continue
-        out.add(PauliTerm(t.coefficient * c2, t.string, t.sine_count))
-        phase, gp = multiply(generator, t.string)
-        sign = (1j * phase).real  # real +-1 because {G, P} = 0
-        out.add(PauliTerm(t.coefficient * s2 * sign, gp, t.sine_count + 1))
-    return out
-
-
-def conjugate_cz_sum(s: PauliSum, edge: Tuple[int, int]) -> PauliSum:
-    out = PauliSum(s.n)
-    for t in s:
-        sign, p = conjugate_cz(t.string, edge)
-        out.add(PauliTerm(sign * t.coefficient, p, t.sine_count))
-    return out
-
-
-def expectation_zero_state(s: PauliSum) -> float:
-    """<0...0| S |0...0>: sum of coefficients of Z-type strings."""
-    return sum(t.coefficient for t in s if t.string.is_z_type())

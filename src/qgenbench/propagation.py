@@ -5,6 +5,10 @@ the last circuit gate to the first; the final expectation is read off on
 |0...0>.  Terms are held in flat numpy arrays keyed by (x, z) bitmasks, so a
 merge step is a single ``np.unique`` pass.  Truncation runs after each
 rotation gate and merge; CZ gates create no new terms.
+
+Rotation gates follow the generator convention R(g) = exp(-i*g*G) with G a
+Pauli, so conjugating an anticommuting string P gives
+cos(2g)*P + sin(2g)*(iGP); the sine branch increments the term's sine count.
 """
 
 from __future__ import annotations
@@ -17,16 +21,19 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .circuits import (Circuit, GenerativeSpec, ROTATION_KINDS, build_generative,
-                       build_trainable, concatenate)
-from .pauli import COEFF_EPS, PauliString, PauliSum, PauliTerm, _MUL_TABLE
+                       build_trainable, concatenate, default_layers, default_p)
+from .pauli import COEFF_EPS, PauliString, PauliSum, PauliTerm
 from .seeding import derive_seed
 
-_MAX_PROP_QUBITS = 32  # merge keys pack (x, z) into one uint64
+MAX_PROP_QUBITS = 32  # merge keys pack (x, z) into one uint64
 
-# exponent of i in the single-qubit product a*b, indexed [a_letter][b_letter]
-_PHASE_EXP = np.zeros((4, 4), dtype=np.int64)
-for (_a, _b), (_k, _) in _MUL_TABLE.items():
-    _PHASE_EXP[_a, _b] = _k
+# exponent k of the phase i**k in the single-qubit product a*b, indexed
+# [a_letter][b_letter] with I=0 X=1 Y=2 Z=3: cyclic X->Y->Z->X gives +i (k=1),
+# anti-cyclic gives -i (k=3), and products with I or a repeated letter are real
+_PHASE_EXP = np.array([[0, 0, 0, 0],
+                       [0, 0, 1, 3],
+                       [0, 3, 0, 1],
+                       [0, 1, 3, 0]], dtype=np.int64)
 
 
 class ResourceLimitError(RuntimeError):
@@ -101,12 +108,6 @@ class _TermArrays:
         terms = list(obs)
         return cls([t.string.x for t in terms], [t.string.z for t in terms],
                    [t.coefficient for t in terms], [t.sine_count for t in terms])
-
-    def to_sum(self, n: int) -> PauliSum:
-        out = PauliSum(n)
-        for x, z, c, s in zip(self.x, self.z, self.c, self.s):
-            out.add(PauliTerm(float(c), PauliString(n, int(x), int(z)), int(s)))
-        return out
 
 
 def _merge(t: _TermArrays) -> _TermArrays:
@@ -194,8 +195,8 @@ def _truncate(t: _TermArrays, pol: TruncationPolicy, report: PropagationReport) 
 def propagate(circuit: Circuit, observable: PauliSum,
               policy: TruncationPolicy) -> PropagationReport:
     """Conjugate `observable` back through `circuit` and evaluate on |0...0>."""
-    if circuit.n > _MAX_PROP_QUBITS:
-        raise ValueError(f"propagation engine caps at {_MAX_PROP_QUBITS} qubits")
+    if circuit.n > MAX_PROP_QUBITS:
+        raise ValueError(f"propagation engine caps at {MAX_PROP_QUBITS} qubits")
     for term in observable:
         if term.string.n != circuit.n:
             raise ValueError("observable qubit count differs from circuit")
@@ -248,8 +249,8 @@ def benchmark_propagation(ns, policy: Optional[TruncationPolicy], trials: int, s
     for n in ns:
         pol = policy if policy is not None else TruncationPolicy(sine_cutoff=sine_cutoff_default(n))
         policy_id = _policy_id(pol)
-        L = layers if layers is not None else max(1, math.ceil(math.log(n)))
-        pn = p if p is not None else math.log(n) / n
+        L = layers if layers is not None else default_layers(n)
+        pn = p if p is not None else default_p(n)
         t2 = tau2 if tau2 is not None else TAU2_CONSTANT
         obs = PauliSum(n, [PauliTerm(1.0, PauliString.single(n, observable_qubit, "Z"))])
         for trial in range(trials):

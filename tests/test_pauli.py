@@ -1,3 +1,9 @@
+"""Pauli observables and the array kernels of the propagation engine.
+
+``_apply_rotation``, ``_apply_cz`` and ``_merge`` are the kernels that
+``propagate`` runs; they are checked here against dense matrices.
+"""
+
 import math
 
 import numpy as np
@@ -5,58 +11,120 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgenbench.pauli import (PauliDimensionError, PauliString, PauliSum, PauliTerm,
-                             UnsupportedGeneratorError, commutes, conjugate_cz,
-                             conjugate_cz_sum, conjugate_rotation,
-                             expectation_zero_state, multiply, z_substitute)
+from qgenbench.circuits import Circuit, Gate, ROTATION_KINDS
+from qgenbench.pauli import PauliDimensionError, PauliString, PauliSum, PauliTerm
+from qgenbench.propagation import (TruncationPolicy, _PHASE_EXP, _TermArrays, _apply_cz,
+                                   _apply_rotation, _merge, propagate)
 from qgenbench.statevector import dense_pauli_matrix
+
+LETTERS = "IXYZ"
 
 
 def rand_string(rng, n):
     return PauliString(n, int(rng.integers(0, 2**n)), int(rng.integers(0, 2**n)))
 
 
+def arrays(s: PauliSum) -> _TermArrays:
+    """Engine arrays of a sum, merged as ``propagate`` merges its input."""
+    return _merge(_TermArrays.from_sum(s))
+
+
+def rand_arrays(rng, n, k):
+    """Up to k random terms with random sine counts."""
+    s = PauliSum(n)
+    for _ in range(k):
+        s.add(PauliTerm(float(rng.normal()), rand_string(rng, n), int(rng.integers(0, 4))))
+    return arrays(s)
+
+
+def one_term(p: PauliString, coefficient=1.0) -> _TermArrays:
+    return arrays(PauliSum(p.n, [PauliTerm(coefficient, p)]))
+
+
+def single(label, coefficient=1.0):
+    return one_term(PauliString.from_label(label), coefficient)
+
+
+def terms_of(t, n):
+    """{label: (coefficient, sine count)} of engine arrays."""
+    return {PauliString(n, int(x), int(z)).label(): (float(c), int(s))
+            for x, z, c, s in zip(t.x, t.z, t.c, t.s)}
+
+
+def dense(t, n):
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for x, z, c in zip(t.x, t.z, t.c):
+        out += c * dense_pauli_matrix(PauliString(n, int(x), int(z)))
+    return out
+
+
+def norm_sq(t):
+    return float(np.sum(t.c**2))
+
+
+def rand_rotation(rng, n, kinds=ROTATION_KINDS):
+    kind = kinds[int(rng.integers(len(kinds)))]
+    qubits = rng.choice(n, len(kind) - 1, replace=False)
+    return Gate(kind, tuple(int(q) for q in qubits), float(rng.normal(0, 0.5)))
+
+
+def rotation_unitary(gate, n):
+    g = dense_pauli_matrix(gate.generator(n))
+    return math.cos(gate.angle) * np.eye(2**n) - 1j * math.sin(gate.angle) * g
+
+
+def cz_unitary(n, a, b):
+    za = dense_pauli_matrix(PauliString.single(n, a, "Z"))
+    zb = dense_pauli_matrix(PauliString.single(n, b, "Z"))
+    return (np.eye(2**n) + za + zb - za @ zb) / 2
+
+
 def test_multiply_xz():
-    phase, r = multiply(PauliString.from_label("X"), PauliString.from_label("Z"))
-    assert phase == -1j
-    assert r.label() == "Y"
+    x, z, y = (dense_pauli_matrix(PauliString.from_label(l)) for l in "XZY")
+    assert _PHASE_EXP[1, 3] == 3  # XZ = -iY
+    assert np.allclose(x @ z, -1j * y)
 
 
 def test_multiply_identity():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        p = rand_string(rng, 3)
-        phase, r = multiply(PauliString.identity(3), p)
-        assert phase == 1 and r == p
-        phase, r = multiply(p, p)
-        assert phase == 1 and r.is_identity()
+    assert not _PHASE_EXP[0].any() and not _PHASE_EXP[:, 0].any()
+    assert not np.diag(_PHASE_EXP).any()
 
 
 def test_multiply_matches_dense():
-    rng = np.random.default_rng(1)
-    for _ in range(30):
-        p, q = rand_string(rng, 2), rand_string(rng, 2)
-        phase, r = multiply(p, q)
-        dense = dense_pauli_matrix(p) @ dense_pauli_matrix(q)
-        assert np.allclose(dense, phase * dense_pauli_matrix(r))
+    for a in range(4):
+        for b in range(4):
+            pa, pb = PauliString.from_label(LETTERS[a]), PauliString.from_label(LETTERS[b])
+            product = PauliString(1, pa.x ^ pb.x, pa.z ^ pb.z)
+            assert np.allclose(dense_pauli_matrix(pa) @ dense_pauli_matrix(pb),
+                               1j ** int(_PHASE_EXP[a, b]) * dense_pauli_matrix(product))
 
 
-def test_multiply_dimension_mismatch():
+def test_sum_add_dimension_mismatch():
+    s = PauliSum(2)
     with pytest.raises(PauliDimensionError):
-        multiply(PauliString.from_label("X"), PauliString.from_label("XX"))
+        s.add(PauliTerm(1.0, PauliString.from_label("X")))
+    with pytest.raises(PauliDimensionError):
+        PauliSum(2, [PauliTerm(1.0, PauliString.from_label("XYZ"))])
 
 
 def test_commutes_trivial():
-    assert not commutes(PauliString.from_label("X"), PauliString.from_label("Z"))
-    assert commutes(PauliString.from_label("XX"), PauliString.from_label("ZZ"))
+    assert len(_apply_rotation(single("X"), PauliString.from_label("Z"), 0.3)) == 2
+    t = single("XX")
+    assert _apply_rotation(t, PauliString.from_label("ZZ"), 0.3) is t
 
 
 def test_commutes_matches_dense():
     rng = np.random.default_rng(2)
     for _ in range(40):
-        p, q = rand_string(rng, 6), rand_string(rng, 6)
-        a, b = dense_pauli_matrix(p), dense_pauli_matrix(q)
-        assert commutes(p, q) == bool(np.allclose(a @ b, b @ a))
+        p, g = rand_string(rng, 6), rand_string(rng, 6)
+        a, b = dense_pauli_matrix(p), dense_pauli_matrix(g)
+        out = _apply_rotation(one_term(p), g, 0.3)
+        assert (len(out) == 1) == bool(np.allclose(a @ b, b @ a))
+
+
+def test_conjugate_rotation_bad_generator():
+    with pytest.raises(ValueError):
+        Gate("CZ", (0, 1)).generator(2)
 
 
 @pytest.mark.parametrize("label,expected_sign,expected", [
@@ -65,133 +133,112 @@ def test_commutes_matches_dense():
     ("XX", 1, "YY"),
 ])
 def test_conjugate_cz_rules(label, expected_sign, expected):
-    sign, r = conjugate_cz(PauliString.from_label(label), (0, 1))
-    assert sign == expected_sign
-    assert r.label() == expected
+    out = terms_of(_apply_cz(single(label), 0, 1), 2)
+    assert out == {expected: (float(expected_sign), 0)}
 
 
 def test_conjugate_cz_matches_dense():
-    cz = np.diag([1, 1, 1, -1]).astype(complex)
     rng = np.random.default_rng(3)
+    n = 4
     for _ in range(30):
-        p = rand_string(rng, 2)
-        sign, r = conjugate_cz(p, (0, 1))
-        assert np.allclose(cz @ dense_pauli_matrix(p) @ cz,
-                           sign * dense_pauli_matrix(r))
+        t = rand_arrays(rng, n, 6)
+        a, b = (int(q) for q in rng.choice(n, 2, replace=False))
+        cz = cz_unitary(n, a, b)
+        assert np.allclose(dense(_apply_cz(t, a, b), n), cz @ dense(t, n) @ cz, atol=1e-12)
 
 
 def test_conjugate_cz_involution():
     rng = np.random.default_rng(4)
     for _ in range(50):
-        p = rand_string(rng, 5)
-        s1, q = conjugate_cz(p, (1, 3))
-        s2, back = conjugate_cz(q, (1, 3))
-        assert back == p and s1 * s2 == 1
-
-
-def test_z_substitute():
-    assert z_substitute(PauliString.from_label("XYI")).label() == "ZZI"
-    assert z_substitute(PauliString.from_label("ZZ")).label() == "ZZ"
-    assert z_substitute(PauliString.identity(4)).is_identity()
+        t = rand_arrays(rng, 5, 8)
+        back = _apply_cz(_apply_cz(t, 1, 3), 1, 3)
+        for field in ("x", "z", "c", "s"):
+            assert np.array_equal(getattr(back, field), getattr(t, field))
 
 
 def test_conjugate_rotation_split():
-    s = PauliSum.from_label(1.0, "Z")
-    out = conjugate_rotation(s, PauliString.from_label("X"), math.pi / 8)
-    coeffs = {t.string.label(): (t.coefficient, t.sine_count) for t in out}
-    assert coeffs["Z"][0] == pytest.approx(0.7071067812, abs=1e-9)
-    assert coeffs["Z"][1] == 0
-    assert coeffs["Y"][0] == pytest.approx(0.7071067812, abs=1e-9)
-    assert coeffs["Y"][1] == 1
+    out = terms_of(_apply_rotation(single("Z"), PauliString.from_label("X"), math.pi / 8), 1)
+    assert out["Z"][0] == pytest.approx(0.7071067812, abs=1e-9)
+    assert out["Z"][1] == 0
+    assert out["Y"][0] == pytest.approx(0.7071067812, abs=1e-9)
+    assert out["Y"][1] == 1
 
 
 def test_conjugate_rotation_commuting_unchanged():
-    s = PauliSum.from_label(1.0, "X")
-    out = conjugate_rotation(s, PauliString.from_label("X"), 0.7)
-    assert len(out) == 1
-    term = next(iter(out))
-    assert term.string.label() == "X" and term.coefficient == 1.0
+    t = single("X")
+    out = _apply_rotation(t, PauliString.from_label("X"), 0.7)
+    assert out is t
+    assert terms_of(out, 1) == {"X": (1.0, 0)}
 
 
 def test_conjugate_rotation_matches_dense():
     rng = np.random.default_rng(5)
     n = 4
-    s = PauliSum(n)
-    for _ in range(5):
-        s.add(PauliTerm(float(rng.normal()), rand_string(rng, n)))
-    gen = PauliString.single(n, 2, "Y")
-    gamma = 0.3
-    out = conjugate_rotation(s, gen, gamma)
-
-    g = dense_pauli_matrix(gen)
-    u = np.cos(gamma) * np.eye(2**n) - 1j * np.sin(gamma) * g
-    dense_in = sum(t.coefficient * dense_pauli_matrix(t.string) for t in s)
-    dense_expected = u.conj().T @ dense_in @ u
-    dense_out = sum(t.coefficient * dense_pauli_matrix(t.string) for t in out)
-    assert np.allclose(dense_out, dense_expected, atol=1e-12)
-
-
-def test_conjugate_rotation_bad_generator():
-    s = PauliSum.from_label(1.0, "ZZZ")
-    with pytest.raises(UnsupportedGeneratorError):
-        conjugate_rotation(s, PauliString.from_label("XYZ"), 0.1)
+    for kind in ROTATION_KINDS:
+        for _ in range(10):
+            gate = rand_rotation(rng, n, (kind,))
+            t = rand_arrays(rng, n, 6)
+            out = _apply_rotation(t, gate.generator(n), gate.angle)
+            u = rotation_unitary(gate, n)
+            assert np.allclose(dense(out, n), u.conj().T @ dense(t, n) @ u, atol=1e-12)
 
 
 def test_expectation_zero_state():
-    assert expectation_zero_state(PauliSum.from_label(1.0, "Z")) == 1.0
-    assert expectation_zero_state(PauliSum.from_label(1.0, "X")) == 0.0
+    exact = TruncationPolicy.exact_mode()
+
+    def read(s):
+        return propagate(Circuit(s.n, ()), s, exact).expectation
+
+    assert read(PauliSum.from_label(1.0, "Z")) == 1.0
+    assert read(PauliSum.from_label(1.0, "X")) == 0.0
     s = PauliSum.from_label(0.5, "ZZ")
     s.add(PauliTerm(0.3, PauliString.from_label("XI")))
-    assert expectation_zero_state(s) == pytest.approx(0.5)
+    assert read(s) == pytest.approx(0.5)
 
 
 def test_norm_and_hermiticity_through_gates():
     rng = np.random.default_rng(6)
     n = 4
-    s = PauliSum(n)
-    for _ in range(6):
-        s.add(PauliTerm(float(rng.normal()), rand_string(rng, n)))
-    norm0 = s.l2_norm_sq()
-    for step in range(30):
+    t = rand_arrays(rng, n, 6)
+    norm0 = norm_sq(t)
+    for _ in range(30):
         if rng.random() < 0.5:
-            q = int(rng.integers(n))
-            gen = PauliString.single(n, q, "XYZ"[int(rng.integers(3))])
-            s = conjugate_rotation(s, gen, float(rng.normal(0, 0.4)))
+            gate = rand_rotation(rng, n)
+            t = _apply_rotation(t, gate.generator(n), gate.angle)
         else:
             a, b = rng.choice(n, 2, replace=False)
-            s = conjugate_cz_sum(s, (int(a), int(b)))
-        assert s.l2_norm_sq() <= norm0 + 1e-12
-        for t in s:
-            assert isinstance(t.coefficient, float)
+            t = _apply_cz(t, int(a), int(b))
+        assert norm_sq(t) <= norm0 + 1e-12
+        assert t.c.dtype == np.float64  # real coefficients: the sum stays Hermitian
 
 
 def test_norm_conserved_without_merge_collisions():
-    # single-term sums never collide, so conjugation conserves the norm
+    # one rotation per qubit of a single string: every branch differs in
+    # some qubit, so no two terms ever meet in a merge
     rng = np.random.default_rng(16)
-    s = PauliSum.from_label(0.8, "ZXYZ")
-    norm0 = s.l2_norm_sq()
-    for _ in range(6):
-        q = int(rng.integers(4))
-        s = conjugate_rotation(s, PauliString.single(4, q, "XYZ"[int(rng.integers(3))]),
-                               float(rng.normal(0, 0.3)))
-    assert s.l2_norm_sq() == pytest.approx(norm0, abs=1e-12)
+    t = single("ZXYZ", 0.8)
+    norm0 = norm_sq(t)
+    for q, letter in enumerate("XZXY"):
+        t = _apply_rotation(t, PauliString.single(4, q, letter), float(rng.normal(0, 0.3)))
+    assert len(t) == 16
+    assert norm_sq(t) == pytest.approx(norm0, abs=1e-12)
 
 
 def test_sine_count_bounded_by_rotation_count():
-    s = PauliSum.from_label(1.0, "ZZZ")
     rng = np.random.default_rng(7)
+    t = single("ZZZ")
     rotations = 12
     for _ in range(rotations):
-        q = int(rng.integers(3))
-        s = conjugate_rotation(s, PauliString.single(3, q, "XYZ"[int(rng.integers(3))]),
-                               float(rng.normal(0, 0.3)))
-    assert all(t.sine_count <= rotations for t in s)
+        gate = rand_rotation(rng, 3)
+        t = _apply_rotation(t, gate.generator(3), gate.angle)
+    assert t.s.max() <= rotations
 
 
 def test_anticommuting_split_adds_one_term():
-    s = PauliSum.from_label(1.0, "Z")
-    out = conjugate_rotation(s, PauliString.from_label("X"), 0.3)
-    assert len(out) == 2  # P and iGP are distinct strings
+    s = PauliSum.from_label(1.0, "ZI")
+    s.add(PauliTerm(0.5, PauliString.from_label("IZ")))
+    out = _apply_rotation(arrays(s), PauliString.from_label("XI"), 0.3)
+    assert len(out) == 3  # ZI splits into ZI and YI; IZ commutes
 
 
 def test_merge_keeps_min_sine_count():
@@ -203,13 +250,13 @@ def test_merge_keeps_min_sine_count():
     assert term.sine_count == 1
 
 
-def test_json_round_trip():
-    s = PauliSum(3)
-    s.add(PauliTerm(0.5, PauliString.from_label("XZY"), 2))
-    s.add(PauliTerm(-1.25, PauliString.from_label("IIZ")))
-    back = PauliSum.from_json_obj(s.to_json_obj())
-    assert {t.string: (t.coefficient, t.sine_count) for t in back} == \
-        {t.string: (t.coefficient, t.sine_count) for t in s}
+def test_merge_kernel_sums_duplicates():
+    # keys (x, z): Z twice, X, and Y cancelling to exact zero
+    t = _merge(_TermArrays([0, 1, 0, 1, 1], [1, 0, 1, 1, 1],
+                           [0.5, 2.0, 0.25, 0.125, -0.125], [3, 0, 1, 2, 2]))
+    assert terms_of(t, 1) == {"X": (2.0, 0), "Z": (0.75, 1)}
+    keys = (t.x << np.uint64(32)) | t.z
+    assert np.all(keys[:-1] < keys[1:])
 
 
 @given(st.integers(0, 2**5 - 1), st.integers(0, 2**5 - 1),
@@ -217,12 +264,15 @@ def test_json_round_trip():
 @settings(max_examples=60, deadline=None)
 def test_commutes_symmetric(x1, z1, x2, z2):
     p, q = PauliString(5, x1, z1), PauliString(5, x2, z2)
-    assert commutes(p, q) == commutes(q, p)
+    p_splits = len(_apply_rotation(one_term(p), q, 0.3)) == 2
+    q_splits = len(_apply_rotation(one_term(q), p, 0.3)) == 2
+    assert p_splits == q_splits
 
 
 @given(st.integers(0, 2**4 - 1), st.integers(0, 2**4 - 1))
 @settings(max_examples=60, deadline=None)
 def test_self_product_is_identity(x, z):
+    # P P = I, so P commutes with itself and a rotation about P leaves it fixed
     p = PauliString(4, x, z)
-    phase, r = multiply(p, p)
-    assert phase == 1 and r.is_identity()
+    t = one_term(p)
+    assert _apply_rotation(t, p, 0.4) is t

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qgenbench.circuits import (Circuit, GenerativeSpec, RotationLayer,
-                                build_generative, build_trainable, concatenate,
-                                default_depth)
+from qgenbench.circuits import (BRICK_PARAMS, BrickLayer, Circuit, CZLayer, GenerativeSpec,
+                                RotationLayer, build_generative, build_trainable,
+                                concatenate, default_depth)
 from qgenbench.pauli import PauliString, PauliSum, PauliTerm
 from qgenbench.propagation import (PropagationReport, ResourceLimitError,
                                    TruncationPolicy, benchmark_propagation,
@@ -149,3 +151,68 @@ def test_benchmark_rows_and_exact_error():
         assert row["error_vs_exact"] < 1e-9
         assert row["dropped_mass"] == 0.0
         assert row["policy_id"] == "exact"
+
+
+ANGLES = st.floats(-1.6, 1.6, allow_nan=False)
+
+
+@st.composite
+def random_circuits(draw):
+    """Up to 5 layers of X/Y/Z rotations, CZ edges and bricks on any disjoint
+    pairs (reversed and non-adjacent included), n from 2 to 6."""
+    n = draw(st.integers(2, 6))
+    layers, num_params = [], 0
+    for kind in draw(st.lists(st.sampled_from(["rot", "cz", "brick"]), min_size=1,
+                              max_size=5)):
+        if kind == "rot":
+            angles = draw(st.lists(ANGLES, min_size=n, max_size=n))
+            layers.append(RotationLayer(draw(st.sampled_from("XYZ")), "gen", tuple(angles)))
+            continue
+        order = draw(st.permutations(range(n)))
+        pairs = [(order[2 * i], order[2 * i + 1]) for i in range(n // 2)]
+        if kind == "cz":
+            layers.append(CZLayer(tuple(draw(st.lists(st.sampled_from(pairs), unique=True)))))
+        else:
+            pairs = pairs[:draw(st.integers(1, len(pairs)))]
+            ids = tuple(tuple(range(num_params + BRICK_PARAMS * i,
+                                    num_params + BRICK_PARAMS * (i + 1)))
+                        for i in range(len(pairs)))
+            num_params += BRICK_PARAMS * len(pairs)
+            layers.append(BrickLayer(tuple(pairs), ids))
+    theta = draw(st.lists(ANGLES, min_size=num_params, max_size=num_params))
+    return Circuit(n, tuple(layers), np.asarray(theta, dtype=float))
+
+
+@st.composite
+def random_observables(draw, n):
+    """One to four terms on strings of any weight, identity included."""
+    masks = st.integers(0, 2**n - 1)
+    coeffs = st.floats(0.05, 1.0).flatmap(lambda c: st.sampled_from([c, -c]))
+    terms = draw(st.lists(st.tuples(masks, masks, coeffs), min_size=1, max_size=4))
+    return PauliSum(n, [PauliTerm(c, PauliString(n, x, z)) for x, z, c in terms])
+
+
+@given(st.data())
+@settings(max_examples=80)
+def test_propagation_matches_statevector_on_random_circuits(data):
+    circ = data.draw(random_circuits())
+    n = circ.n
+    obs = data.draw(random_observables(n))
+    exact = sv.expectation(sv.run(circ), obs)
+    rep = propagate(circ, obs, EXACT)
+    assert rep.expectation == pytest.approx(exact, abs=1e-9)
+    assert rep.dropped_mass == 0.0
+
+    later = TruncationPolicy(weight_cutoff=data.draw(st.integers(0, n)),
+                             max_terms=data.draw(st.integers(1, 64)))
+    policies = [
+        TruncationPolicy(sine_cutoff=data.draw(st.integers(0, 3))),
+        TruncationPolicy(coeff_threshold=data.draw(st.floats(1e-3, 0.5))),
+        TruncationPolicy(weight_cutoff=data.draw(st.integers(0, n))),
+        TruncationPolicy(max_terms=data.draw(st.integers(1, 64))),
+        TruncationPolicy(sine_cutoff=data.draw(st.integers(0, 3)),
+                         dynamic_schedule={data.draw(st.integers(0, 40)): later}),
+    ]
+    for policy in policies:
+        rep = propagate(circ, obs, policy)
+        assert abs(rep.expectation - exact) <= rep.dropped_mass + 1e-9, policy
