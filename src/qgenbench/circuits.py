@@ -16,7 +16,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -106,7 +106,7 @@ class BrickLayer:
                 raise ValueError(f"each brick takes {BRICK_PARAMS} parameters")
 
 
-Layer = object  # RotationLayer | CZLayer | BrickLayer
+Layer = Union[RotationLayer, CZLayer, BrickLayer]
 
 
 @dataclass(frozen=True)
@@ -122,15 +122,6 @@ class LayerGraph:
                 raise ValueError("edges must be sorted pairs inside the register")
         if len(set(self.edges)) != len(self.edges):
             raise ValueError("duplicate edge")
-
-    def neighbors(self, v: int) -> Set[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
 
 
 @dataclass(frozen=True)
@@ -222,10 +213,16 @@ def resolve_tau2(preset: str, n: int, layers: int, max_weight: int = 1) -> float
 
 
 def sample_er_graph(n: int, p: float, seed: int) -> LayerGraph:
-    """G(n, p): each of the C(n,2) edges kept independently with probability p."""
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    keep = rng_for(seed).random(len(pairs)) < p
-    return LayerGraph(n, tuple(pair for pair, k in zip(pairs, keep) if k))
+    """G(n, p): each of the C(n,2) edges kept independently with probability p.
+
+    One uniform draw per pair, pairs in lexicographic order (0,1), (0,2), ...
+    """
+    if not 0.0 <= p <= 1.0:  # also rejects NaN
+        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
+    r = np.arange(n)
+    a, b = np.nonzero(r[:, None] < r)  # as np.triu_indices(n, 1), at a fifth of its cost
+    keep = rng_for(seed).random(len(a)) < p
+    return LayerGraph(n, tuple(zip(a[keep].tolist(), b[keep].tolist())))
 
 
 def build_generative(spec: GenerativeSpec) -> Circuit:

@@ -60,6 +60,12 @@ def _check_size(name: str, value: Optional[int], least: int) -> None:
         raise CliError(f"{name} must be at least {least}, got {value}")
 
 
+def _check_p(p: Optional[float]) -> None:
+    """Reject an edge probability outside [0, 1] (None = default ln(n)/n)."""
+    if p is not None and not 0.0 <= p <= 1.0:  # also rejects NaN
+        raise CliError(f"--p must lie in [0, 1], got {p}")
+
+
 def _default_observables(n: int) -> List[PauliString]:
     obs = [PauliString.single(n, q, "Z") for q in range(n)]
     for q in range(n - 1):
@@ -85,12 +91,18 @@ def cmd_gen(args) -> int:
     _check_size("--n", args.n, 1)
     _check_size("--layers", args.layers, 0)
     _check_size("--trainable-depth", args.trainable_depth, 0)
+    _check_p(args.p)
     layers = args.layers
     p = args.p if args.p is not None else default_p(args.n)
     if args.tau2 is not None:
         tau2 = args.tau2
+        if not tau2 > 0:
+            raise CliError(f"--tau2 must be positive, got {tau2}")
     else:
         tau2 = resolve_tau2(args.tau2_preset, args.n, layers)
+        if not tau2 > 0:
+            raise CliError(f"--tau2-preset {args.tau2_preset} gives tau2 = {tau2} at "
+                           f"n={args.n}; pass --tau2")
     spec = GenerativeSpec(args.n, layers, p, tau2, args.seed)
     circuit = build_generative(spec)
     if args.trainable_depth:
@@ -255,6 +267,7 @@ def cmd_pauliprop_bench(args) -> int:
     _check_size("--trials", args.trials, 1)
     _check_size("--layers", args.layers, 0)
     _check_size("--trainable-depth", args.trainable_depth, 0)
+    _check_p(args.p)
     if args.exact:
         policy: Optional[TruncationPolicy] = TruncationPolicy.exact_mode(args.max_terms)
     elif args.sine_cutoff is not None:
@@ -273,6 +286,7 @@ def cmd_graph_stats(args) -> int:
     ns = _parse_ns(args.ns)
     _check_size("--trials", args.trials, 1)
     _check_size("--layers", args.layers, 1)
+    _check_p(args.p)
     rows = treewidth_trend(ns, args.trials, args.seed, p=args.p, layers=args.layers)
     write_csv(args.out, rows, CSV_COLUMNS["treewidth"])
     _info(args, f"wrote {args.out} ({len(rows)} rows)")

@@ -21,7 +21,7 @@ from .circuits import (Circuit, BrickLayer, GenerativeSpec, backward_lightcone,
                        default_layers, default_p, resolve_tau2)
 from .metrics import distinguishability, weak_subvolume_gap
 from .pauli import PauliString, PauliSum, PauliTerm
-from .propagation import TruncationPolicy, benchmark_propagation
+from .propagation import MAX_PROP_QUBITS, TruncationPolicy, benchmark_propagation
 from .graphs import treewidth_trend
 from .seeding import derive_seed, rng_for
 from .statevector import (expectation, parameter_shift_gradient,
@@ -34,6 +34,7 @@ except Exception:  # pragma: no cover - not installed
     VERSION = "0.1.0+local"
 
 EXPERIMENT_IDS = ("subvolume", "gradvar", "lightcone", "pauliprop", "treewidth")
+_TAU2_EXPERIMENTS = ("subvolume", "gradvar", "lightcone")  # read resolved_tau2
 
 
 class ConfigError(ValueError):
@@ -68,12 +69,30 @@ class ExperimentConfig:
             raise ConfigError("unknown-experiment", f"unknown experiment id {self.experiment!r}")
         if not self.ns:
             raise ConfigError("bad-config", "ns must be non-empty")
+        if min(self.ns) < 1:
+            raise ConfigError("bad-config", "ns must be positive")
         if self.trials <= 0:
             raise ConfigError("bad-config", "trials must be positive")
+        if self.experiment == "pauliprop" and max(self.ns) > MAX_PROP_QUBITS:
+            raise ConfigError("bad-config", f"propagation caps at {MAX_PROP_QUBITS} qubits, "
+                                            f"got n={max(self.ns)}")
+        if self.p is not None and not 0.0 <= self.p <= 1.0:
+            raise ConfigError("bad-config", f"p must lie in [0, 1], got {self.p}")
+        if self.tau2 is not None and not self.tau2 > 0:
+            raise ConfigError("bad-config", f"tau2 must be positive, got {self.tau2}")
         referenced = set(self.subsystem) | {q for q, _ in self.sigma}
         if referenced and max(referenced) >= min(self.ns):
             raise ConfigError("bad-config",
                               "referenced qubits must fit the smallest system size")
+        if self.experiment in _TAU2_EXPERIMENTS:
+            try:
+                tau2s = {n: self.resolved_tau2(n) for n in self.ns}
+            except ValueError as exc:  # unknown preset
+                raise ConfigError("bad-config", str(exc)) from exc
+            for n, tau2 in tau2s.items():
+                if not tau2 > 0:
+                    raise ConfigError("bad-config", f"tau2_preset {self.tau2_preset!r} gives "
+                                                    f"tau2 = {tau2} at n={n}; set tau2")
 
     def to_json_obj(self) -> dict:
         obj = asdict(self)
@@ -313,7 +332,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> Dict[str, str]:
         "seed_derivation": "default_rng(SeedSequence([master, *indices])); "
                            "indices are (n, trial[, sub-stream]) per row",
         "resolved_tau2": {str(n): config.resolved_tau2(n) for n in config.ns}
-        if config.experiment in ("subvolume", "gradvar", "lightcone") else None,
+        if config.experiment in _TAU2_EXPERIMENTS else None,
         "rows": len(rows),
     }
     manifest_path = os.path.join(out_dir, f"{config.experiment}.manifest.json")

@@ -9,7 +9,9 @@ the contraction-hardness trend studies need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Iterable, List, Set, Tuple
+
+import numpy as np
 
 from .circuits import (Circuit, CZLayer, LayerGraph, backward_lightcone, default_layers,
                        default_p, sample_er_graph)
@@ -40,68 +42,64 @@ def interaction_graph(circuit: Circuit, support: Set[int]) -> LayerGraph:
     return LayerGraph(len(vertices), tuple(sorted(edges)))
 
 
-def _bit_adjacency(graph: LayerGraph) -> List[int]:
-    """Adjacency as one bitmask per vertex (fast fill-in counting)."""
-    adj = [0] * graph.n
-    for a, b in graph.edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
+def _adjacency_matrix(graph: LayerGraph) -> np.ndarray:
+    """Dense symmetric 0/1 adjacency matrix, n x n float64."""
+    adj = np.zeros((graph.n, graph.n))
+    if graph.edges:
+        a, b = np.array(graph.edges).T
+        adj[a, b] = adj[b, a] = 1
     return adj
 
 
-def _iter_bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
+def _twice_fill(adj: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """2 x (non-adjacent pairs in N(v)) for each v in `rows`: d(d-1) - 2|E(N(v))|.
+
+    Every count is an integer far below 2**53, so float64 holds it exactly.
+    """
+    sub = adj[rows]
+    deg = sub.sum(axis=1)
+    return deg * (deg - 1) - ((sub @ adj) * sub).sum(axis=1)
 
 
 def min_fill_width(graph: LayerGraph) -> Tuple[int, EliminationOrder]:
     """Treewidth upper bound: eliminate the vertex needing fewest fill edges.
 
     Ties go to the lowest vertex index; the width is the largest neighborhood
-    met at elimination time.
+    met at elimination time.  The graph is held as a dense n x n float64
+    matrix (O(n^2) memory).  Eliminating v only changes the fill of N(v) and
+    of the neighbours of N(v), so only those rows are recounted.
     """
-    adj = _bit_adjacency(graph)
-    alive = (1 << graph.n) - 1
+    adj = _adjacency_matrix(graph)
+    fill = _twice_fill(adj, np.arange(graph.n))
     order: List[int] = []
     width = 0
-    while alive:
-        best_v, best_fill = -1, None
-        for v in _iter_bits(alive):
-            nbrs = adj[v]
-            fill = 0
-            for a in _iter_bits(nbrs):
-                fill += (nbrs & ~adj[a] & ~(1 << a)).bit_count()
-            fill //= 2
-            if best_fill is None or fill < best_fill:
-                best_v, best_fill = v, fill
-            if fill == 0:
-                break  # scanning in ascending order, 0 cannot be beaten
-        nbrs = adj[best_v]
-        width = max(width, nbrs.bit_count())
-        vbit = 1 << best_v
-        for a in _iter_bits(nbrs):
-            adj[a] = (adj[a] | (nbrs & ~(1 << a))) & ~vbit
-        adj[best_v] = 0
-        alive &= ~vbit
-        order.append(best_v)
+    for _ in range(graph.n):
+        v = int(np.argmin(fill))  # first minimum = lowest index among ties
+        nbrs = np.flatnonzero(adj[v])
+        width = max(width, len(nbrs))
+        adj[np.ix_(nbrs, nbrs)] = 1.0
+        adj[nbrs, nbrs] = 0.0
+        adj[v, :] = adj[:, v] = 0.0
+        fill[v] = np.inf
+        order.append(v)
+        if len(nbrs):
+            touched = adj[nbrs].any(axis=0)  # adj is symmetric
+            touched[nbrs] = True
+            rows = np.flatnonzero(touched)
+            fill[rows] = _twice_fill(adj, rows)
     return width, EliminationOrder(tuple(order), width)
 
 
 def degeneracy(graph: LayerGraph) -> int:
     """Treewidth lower bound: max over the peel order of the min residual degree."""
-    adj = _bit_adjacency(graph)
-    alive = (1 << graph.n) - 1
+    adj = _adjacency_matrix(graph)
+    deg = adj.sum(axis=1)  # live degree; inf once peeled, so decrements leave it inf
     result = 0
-    while alive:
-        v = min(_iter_bits(alive), key=lambda u: (adj[u].bit_count(), u))
-        result = max(result, adj[v].bit_count())
-        vbit = 1 << v
-        for u in _iter_bits(adj[v]):
-            adj[u] &= ~vbit
-        adj[v] = 0
-        alive &= ~vbit
+    for _ in range(graph.n):
+        v = int(np.argmin(deg))  # (degree, index) order
+        result = max(result, int(deg[v]))
+        deg -= adj[v]
+        deg[v] = np.inf
     return result
 
 

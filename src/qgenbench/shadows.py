@@ -10,6 +10,7 @@ tensor products of 3|b><b| - Id.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, List, Sequence
 
 import numpy as np
@@ -28,12 +29,13 @@ _BASIS_ROT = {
     2: np.eye(2, dtype=complex),                                          # Z
 }
 
-# Single-qubit eigenstates |b> for (basis, outcome-bit)
-_EIGENSTATES = {
-    (0, 0): np.array([_SQ2, _SQ2]), (0, 1): np.array([_SQ2, -_SQ2]),
-    (1, 0): np.array([_SQ2, 1j * _SQ2]), (1, 1): np.array([_SQ2, -1j * _SQ2]),
-    (2, 0): np.array([1.0, 0.0]), (2, 1): np.array([0.0, 1.0]),
-}
+# Single-qubit snapshot factors 3|b><b| - Id, indexed by 2*basis + outcome-bit
+_SNAPSHOT_FACTORS = np.array([
+    3.0 * np.outer(vec, vec.conj()) - np.eye(2)
+    for vec in (np.array([_SQ2, _SQ2]), np.array([_SQ2, -_SQ2]),            # X
+                np.array([_SQ2, 1j * _SQ2]), np.array([_SQ2, -1j * _SQ2]),  # Y
+                np.array([1.0, 0.0]), np.array([0.0, 1.0]))                 # Z
+])
 
 
 @dataclass
@@ -138,21 +140,20 @@ def estimate_rdm(shadows: ShadowSet, subsystem: Iterable[int]) -> np.ndarray:
     """Shadow estimate of the reduced state on `subsystem`.
 
     Hermitian with unit trace by construction, but not necessarily positive
-    at finite sample size.
+    at finite sample size.  Shots with the same (basis, bit) on every kept
+    qubit give the same snapshot, so each distinct snapshot is built once
+    and weighted by its shot count.
     """
     keep = sorted(set(subsystem))
     dim = 2 ** len(keep)
     if not keep:
         return np.ones((1, 1), dtype=complex)
+    # one factor index 2*basis + bit per kept qubit, largest qubit first
+    cols = keep[::-1]
+    factors = 2 * shadows.bases[:, cols] + (1 - shadows.outcomes[:, cols]) // 2
     total = np.zeros((dim, dim), dtype=complex)
-    eye2 = np.eye(2, dtype=complex)
-    for b_row, o_row in zip(shadows.bases, shadows.outcomes):
-        acc = np.ones((1, 1), dtype=complex)
-        # largest qubit is the most significant factor
-        for q in reversed(keep):
-            vec = _EIGENSTATES[(int(b_row[q]), 0 if o_row[q] == 1 else 1)]
-            acc = np.kron(acc, 3.0 * np.outer(vec, vec.conj()) - eye2)
-        total += acc
+    for snapshot, count in zip(*np.unique(factors, axis=0, return_counts=True)):
+        total += count * reduce(np.kron, _SNAPSHOT_FACTORS[snapshot])
     return total / len(shadows)
 
 

@@ -126,6 +126,26 @@ def test_experiment_bad_config(tmp_path):
                    "--out-dir", str(tmp_path / "o"), "--quiet") == 2
 
 
+@pytest.mark.parametrize("obj", [
+    {"experiment": "pauliprop", "ns": [33], "trials": 1},
+    {"experiment": "pauliprop", "ns": [4, 40], "trials": 1},
+    {"experiment": "treewidth", "ns": [20], "p": 2.0, "trials": 1},
+    {"experiment": "lightcone", "ns": [20], "tau2": 0.0, "trials": 1},
+    {"experiment": "subvolume", "ns": [1, 4], "trials": 2},
+    {"experiment": "lightcone", "ns": [20], "tau2_preset": "bogus", "trials": 1},
+    {"experiment": "treewidth", "ns": [0, 20], "subsystem": [], "sigma": [], "trials": 1},
+], ids=["pauliprop_ns_33", "pauliprop_ns_4_40", "treewidth_p_2", "lightcone_tau2_0",
+        "subvolume_theorem_n_1", "lightcone_unknown_preset", "treewidth_ns_0"])
+def test_experiment_rejected_config_exit_2(tmp_path, capsys, obj):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(obj))
+    out_dir = tmp_path / "o"
+    assert run_cli("experiment", "--config", str(config), "--out-dir", str(out_dir),
+                   "--quiet") == 2
+    assert not out_dir.exists()
+    assert capsys.readouterr().err.startswith("error: [bad-config] ")
+
+
 def test_experiment_seed_override(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"experiment": "treewidth", "ns": [12],
@@ -216,6 +236,15 @@ def test_threads_flag_rejected(tmp_path):
     ["graph-stats", "--ns", "0"],
     ["graph-stats", "--ns", "20", "--trials", "0"],
     ["graph-stats", "--ns", "20", "--layers", "0"],
+    ["gen", "--n", "4", "--layers", "1", "--p", "2"],
+    ["gen", "--n", "4", "--layers", "1", "--p", "-0.5"],
+    ["gen", "--n", "4", "--layers", "1", "--tau2", "0"],
+    ["gen", "--n", "4", "--layers", "1", "--tau2", "-0.1"],
+    ["gen", "--n", "1", "--layers", "1", "--tau2-preset", "theorem"],
+    ["pauliprop-bench", "--ns", "4", "--p", "1.5"],
+    ["pauliprop-bench", "--ns", "4", "--p", "nan"],
+    ["graph-stats", "--ns", "20", "--p", "2"],
+    ["graph-stats", "--ns", "20", "--p", "-0.5"],
 ], ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
 def test_bad_sizes_exit_2_before_work(tmp_path, capsys, argv):
     out = tmp_path / "out"

@@ -112,6 +112,28 @@ def test_rdm_matches_exact():
     assert np.max(np.abs(rho_hat - rho)) < 0.1
 
 
+def test_rdm_matches_per_shot_kron_sum():
+    """Grouped snapshots equal the per-shot sum of tensor products."""
+    sq = 1 / math.sqrt(2)
+    eigen = {(0, 1): [sq, sq], (0, -1): [sq, -sq], (1, 1): [sq, 1j * sq],
+             (1, -1): [sq, -1j * sq], (2, 1): [1, 0], (2, -1): [0, 1]}
+    rng = np.random.default_rng(4)
+    n, shots = 4, 400
+    bases = rng.integers(0, 3, (shots, n), dtype=np.int8)
+    outcomes = (1 - 2 * rng.integers(0, 2, (shots, n))).astype(np.int8)
+    shadows = ShadowSet(n, bases, outcomes)
+    for subsystem in ([0], [3], [1, 2], [0, 2, 3]):
+        expected = 0
+        for b_row, o_row in zip(bases, outcomes):
+            acc = np.ones((1, 1))
+            for q in reversed(subsystem):
+                vec = np.array(eigen[(int(b_row[q]), int(o_row[q]))])
+                acc = np.kron(acc, 3 * np.outer(vec, vec.conj()) - np.eye(2))
+            expected = expected + acc
+        np.testing.assert_allclose(estimate_rdm(shadows, subsystem), expected / shots,
+                                   atol=1e-12)
+
+
 def test_median_of_means_robust():
     shadows = collect_shadows(sv.StateVector.zero(2), 5000, seed=13)
     # corrupt one group's worth of shots; median of means must shrug it off
