@@ -135,16 +135,26 @@ def _load_circuit(path: str) -> Circuit:
 
 
 def _circuit_tau2(args) -> float:
+    """--tau2, else the tau2 of the circuit's manifest; positive and finite."""
     if args.tau2 is not None:
-        return args.tau2
-    manifest_path = args.circuit + ".manifest.json"
-    if os.path.exists(manifest_path):
-        with open(manifest_path) as fh:
-            return json.load(fh)["tau2"]
-    raise CliError("pass --tau2 or keep the circuit's .manifest.json beside it")
+        tau2, source = args.tau2, "--tau2"
+    else:
+        source = args.circuit + ".manifest.json"
+        if not os.path.exists(source):
+            raise CliError("pass --tau2 or keep the circuit's .manifest.json beside it")
+        try:
+            with open(source) as fh:
+                tau2 = json.load(fh)["tau2"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CliError(f"malformed manifest {source}: {exc!r}")
+        source = f"tau2 in {source}"
+    if type(tau2) not in (int, float) or not 0 < tau2 < math.inf:  # also rejects NaN, bools
+        raise CliError(f"{source} must be positive and finite, got {tau2!r}")
+    return tau2
 
 
 def cmd_features(args) -> int:
+    _check_size("--samples", args.samples, 1)
     circuit = _load_circuit(args.circuit)
     n = circuit.n
     observables = _parse_observables(args.observables, n)
@@ -340,9 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a configured experiment")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--quiet", action="store_true")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.set_defaults(func=cmd_experiment)
+    add_common(p)
+    p.set_defaults(func=cmd_experiment, seed=None)  # None keeps the config's seed
 
     p = sub.add_parser("plot", help="CSV to SVG line chart")
     p.add_argument("--csv", required=True)

@@ -2,9 +2,14 @@
 
 The observable (a real-coefficient Pauli sum) is conjugated gate-by-gate from
 the last circuit gate to the first; the final expectation is read off on
-|0...0>.  Terms are held in flat numpy arrays keyed by (x, z) bitmasks, so a
-merge step is a single ``np.unique`` pass.  Truncation runs after each
-rotation gate and merge; CZ gates create no new terms.
+|0...0>.  Terms are held in flat numpy arrays: one packed uint64 key
+(x << 32) | z per string, which caps the register at 32 qubits, plus the
+coefficient and the sine count.  A rotation scales the cosine branch of the
+anticommuting terms and merges their sine branch into the terms with one
+stable sort, which runs in linear time because both parts are sorted runs.
+Truncation runs after each rotation gate; the term cap finds its threshold
+with ``np.partition``.  CZ gates create no new terms: they permute keys,
+and the next rotation that splits terms sorts them again.
 
 Rotation gates follow the generator convention R(g) = exp(-i*g*G) with G a
 Pauli, so conjugating an anticommuting string P gives
@@ -91,79 +96,98 @@ class PropagationReport:
     final_terms: int = 0
 
 
-class _TermArrays:
-    """Flat storage: x/z masks (uint64), coefficients, sine counts."""
+_Z_MASK = np.uint64(0xFFFFFFFF)  # the z half of a packed key
 
-    def __init__(self, x, z, c, s):
-        self.x = np.asarray(x, dtype=np.uint64)
-        self.z = np.asarray(z, dtype=np.uint64)
+
+def _key(x: int, z: int) -> int:
+    """Packed merge key (x << 32) | z of one Pauli string."""
+    return (x << 32) | z
+
+
+class _TermArrays:
+    """Flat storage: packed (x << 32) | z keys (uint64), coefficients, sine counts.
+
+    Rotations that split a term return keys in increasing order; CZ gates
+    permute keys, and the next splitting rotation sorts them again.
+    """
+
+    def __init__(self, k, c, s):
+        self.k = np.asarray(k, dtype=np.uint64)
         self.c = np.asarray(c, dtype=np.float64)
         self.s = np.asarray(s, dtype=np.int64)
 
     def __len__(self):
         return len(self.c)
 
+    def take(self, idx: np.ndarray) -> "_TermArrays":
+        return _TermArrays(self.k[idx], self.c[idx], self.s[idx])
+
     @classmethod
     def from_sum(cls, obs: PauliSum) -> "_TermArrays":
-        terms = list(obs)
-        return cls([t.string.x for t in terms], [t.string.z for t in terms],
+        """Sorted arrays of a sum (a PauliSum holds no duplicates and no zeros)."""
+        terms = sorted(obs, key=lambda t: _key(t.string.x, t.string.z))
+        return cls([_key(t.string.x, t.string.z) for t in terms],
                    [t.coefficient for t in terms], [t.sine_count for t in terms])
 
 
-def _merge(t: _TermArrays) -> _TermArrays:
-    keys = (t.x << np.uint64(32)) | t.z
-    uniq, inv = np.unique(keys, return_inverse=True)
-    c = np.zeros(len(uniq))
-    np.add.at(c, inv, t.c)
-    s = np.full(len(uniq), np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(s, inv, t.s)
+def _merge(a: _TermArrays, b: _TermArrays) -> _TermArrays:
+    """Union of two term sets, each with distinct keys, sorted by key.
+
+    A key in both gets the coefficients added (a's first) and the smaller
+    sine count; terms with |c| < COEFF_EPS are dropped.  The stable sort
+    finds a sorted set as one run and merges two runs in linear time.
+    """
+    k = np.concatenate([a.k, b.k])
+    order = np.argsort(k, kind="stable")
+    k = k[order]
+    c = np.concatenate([a.c, b.c])[order]
+    s = np.concatenate([a.s, b.s])[order]
+    dup = np.flatnonzero(k[1:] == k[:-1])
+    c[dup] += c[dup + 1]
+    s[dup] = np.minimum(s[dup], s[dup + 1])
     keep = np.abs(c) >= COEFF_EPS
-    return _TermArrays(uniq[keep] >> np.uint64(32), uniq[keep] & np.uint64(0xFFFFFFFF),
-                       c[keep], s[keep])
+    keep[dup + 1] = False
+    t = _TermArrays(k, c, s)
+    return t if keep.all() else t.take(np.flatnonzero(keep))
 
 
 _XZ_TO_LETTER = np.array([0, 1, 3, 2], dtype=np.int64)  # index 2*z + x
 
 
-def _letters(x: np.ndarray, z: np.ndarray, q: int) -> np.ndarray:
-    """Letter indices (I=0 X=1 Y=2 Z=3) at qubit q for each term."""
-    xb = ((x >> np.uint64(q)) & np.uint64(1)).astype(np.int64)
-    zb = ((z >> np.uint64(q)) & np.uint64(1)).astype(np.int64)
-    return _XZ_TO_LETTER[2 * zb + xb]
-
-
 def _apply_rotation(t: _TermArrays, gen: PauliString, angle: float) -> _TermArrays:
-    gx, gz = np.uint64(gen.x), np.uint64(gen.z)
-    anti = ((np.bitwise_count(t.x & gz) + np.bitwise_count(t.z & gx)) & 1).astype(bool)
-    if not anti.any():
+    # P anticommutes with G when |x & gz| + |z & gx| is odd: one popcount
+    # against the generator's key with x and z swapped
+    anti = np.flatnonzero(np.bitwise_count(t.k & np.uint64(_key(gen.z, gen.x))) & 1)
+    if not len(anti):
         return t
     c2, s2 = math.cos(2 * angle), math.sin(2 * angle)
-    ax, az, ac, asn = t.x[anti], t.z[anti], t.c[anti], t.s[anti]
-    # sign of the sine branch: real part of i * phase(G P)
-    k = np.ones(len(ac), dtype=np.int64)  # the leading factor of i
-    for q in range(gen.n):
-        gl = gen.letter_index(q)
-        if gl:
-            k += _PHASE_EXP[gl, _letters(ax, az, q)]
-    sign = np.where(k % 4 == 0, 1.0, -1.0)
-    nx = np.concatenate([t.x[~anti], ax, ax ^ gx])
-    nz = np.concatenate([t.z[~anti], az, az ^ gz])
-    nc = np.concatenate([t.c[~anti], ac * c2, ac * s2 * sign])
-    ns = np.concatenate([t.s[~anti], asn, asn + 1])
-    return _merge(_TermArrays(nx, nz, nc, ns))
+    ak, ac, asn = t.k[anti], t.c[anti], t.s[anti]
+    # sign of the sine branch: real part of i * phase(G P), from the letters
+    # of P on the generator's support
+    ph = np.ones(len(ac), dtype=np.int64)  # the leading factor of i
+    support = gen.x | gen.z
+    while support:
+        q = (support & -support).bit_length() - 1  # lowest support qubit
+        support &= support - 1
+        xb = (ak >> np.uint64(32 + q)) & np.uint64(1)
+        zb = (ak >> np.uint64(q)) & np.uint64(1)
+        ph += _PHASE_EXP[gen.letter_index(q), _XZ_TO_LETTER][(2 * zb + xb).astype(np.intp)]
+    sign = np.where(ph % 4 == 0, 1.0, -1.0)
+    c = t.c.copy()
+    c[anti] = ac * c2
+    # the sine branch P -> iGP is a bijection, so its keys are distinct
+    sine = _TermArrays(ak ^ np.uint64(_key(gen.x, gen.z)), ac * s2 * sign, asn + 1)
+    return _merge(_TermArrays(t.k, c, t.s), sine)
 
 
 def _apply_cz(t: _TermArrays, a: int, b: int) -> _TermArrays:
     one = np.uint64(1)
-    xa = (t.x >> np.uint64(a)) & one
-    xb = (t.x >> np.uint64(b)) & one
-    za = (t.z >> np.uint64(a)) & one
-    zb = (t.z >> np.uint64(b)) & one
-    flip = (xa & xb & (za ^ zb)).astype(bool)
-    c = t.c.copy()
-    c[flip] *= -1
-    z = t.z ^ (xb << np.uint64(a)) ^ (xa << np.uint64(b))
-    return _TermArrays(t.x, z, c, t.s)
+    xa = (t.k >> np.uint64(32 + a)) & one
+    xb = (t.k >> np.uint64(32 + b)) & one
+    flip = xa & xb & ((t.k >> np.uint64(a)) ^ (t.k >> np.uint64(b)))
+    # negate the flipped coefficients by toggling their sign bit
+    c = (t.c.view(np.uint64) ^ (flip << np.uint64(63))).view(np.float64)
+    return _TermArrays(t.k ^ (xb << np.uint64(a)) ^ (xa << np.uint64(b)), c, t.s)
 
 
 def _truncate(t: _TermArrays, pol: TruncationPolicy, report: PropagationReport) -> _TermArrays:
@@ -179,16 +203,21 @@ def _truncate(t: _TermArrays, pol: TruncationPolicy, report: PropagationReport) 
     if pol.coeff_threshold is not None:
         drop |= np.abs(t.c) < pol.coeff_threshold
     if pol.weight_cutoff is not None:
-        drop |= np.bitwise_count(t.x | t.z) > pol.weight_cutoff
+        drop |= np.bitwise_count((t.k >> np.uint64(32)) | (t.k & _Z_MASK)) > pol.weight_cutoff
     if drop.any():
         report.dropped_mass += float(np.sum(np.abs(t.c[drop])))
-        t = _TermArrays(t.x[~drop], t.z[~drop], t.c[~drop], t.s[~drop])
+        t = t.take(np.flatnonzero(~drop))
     if pol.max_terms is not None and len(t) > pol.max_terms:
-        order = np.argsort(-np.abs(t.c), kind="stable")
-        keep, lose = order[:pol.max_terms], order[pol.max_terms:]
-        report.dropped_mass += float(np.sum(np.abs(t.c[lose])))
-        keep.sort()
-        t = _TermArrays(t.x[keep], t.z[keep], t.c[keep], t.s[keep])
+        # keep the max_terms largest |c|, ties going to the lower index: the
+        # set a stable descending sort would keep
+        mag = np.abs(t.c)
+        edge = np.partition(mag, len(t) - pol.max_terms)[len(t) - pol.max_terms]
+        keep = mag > edge
+        ties = np.flatnonzero(mag == edge)
+        keep[ties[:pol.max_terms - np.count_nonzero(keep)]] = True
+        # lost magnitudes summed in descending order
+        report.dropped_mass += float(-np.sum(np.sort(-mag[~keep])))
+        t = t.take(np.flatnonzero(keep))
     return t
 
 
@@ -202,7 +231,7 @@ def propagate(circuit: Circuit, observable: PauliSum,
             raise ValueError("observable qubit count differs from circuit")
     gates = list(circuit.gates())
     report = PropagationReport(expectation=0.0)
-    t = _merge(_TermArrays.from_sum(observable))
+    t = _TermArrays.from_sum(observable)
     start = time.monotonic()
     step = 0
     for gate in reversed(gates):
@@ -217,7 +246,7 @@ def propagate(circuit: Circuit, observable: PauliSum,
         report.terms_per_step.append(len(t))
         report.peak_terms = max(report.peak_terms, len(t))
     report.wall_time = time.monotonic() - start
-    zmask = t.x == 0
+    zmask = t.k <= _Z_MASK  # no X or Y letter
     report.expectation = float(np.sum(t.c[zmask]))
     report.final_terms = len(t)
     return report

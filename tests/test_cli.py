@@ -158,6 +158,19 @@ def test_experiment_seed_override(tmp_path):
         open(os.path.join(out2, "treewidth.csv")).read()
 
 
+def test_experiment_seed_defaults_to_config(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"experiment": "treewidth", "ns": [12],
+                                  "trials": 2, "seed": 5}))
+    csvs = []
+    for i, extra in enumerate([[], ["--seed", "5"], ["--seed", "0"]]):
+        out = str(tmp_path / str(i))
+        assert run_cli("experiment", "--config", str(config), "--out-dir", out,
+                       *extra, "--quiet") == 0
+        csvs.append(open(os.path.join(out, "treewidth.csv")).read())
+    assert csvs[0] == csvs[1] != csvs[2]
+
+
 def test_pauliprop_bench_command(tmp_path):
     out = str(tmp_path / "bench.csv")
     assert run_cli("pauliprop-bench", "--ns", "4,6", "--trials", "2",
@@ -226,6 +239,24 @@ def test_threads_flag_rejected(tmp_path):
     assert exc.value.code == 2
 
 
+# A features case names a 3-qubit circuit from gen.  Its manifest keeps gen's
+# tau2 (CIRCUIT), or has tau2 replaced, or removed (None).
+FEATURES_MANIFESTS = {"CIRCUIT": {}, "NEGATIVE_TAU2": {"tau2": -1.0},
+                      "TEXT_TAU2": {"tau2": "wide"}, "NO_TAU2": {"tau2": None}}
+
+
+def features_circuit(tmp_path, name):
+    circ = str(tmp_path / "c.json")
+    assert run_cli("gen", "--n", "3", "--layers", "1", "--out", circ, "--quiet") == 0
+    with open(circ + ".manifest.json") as fh:
+        manifest = json.load(fh)
+    manifest.update(FEATURES_MANIFESTS[name])
+    manifest = {k: v for k, v in manifest.items() if v is not None}
+    with open(circ + ".manifest.json", "w") as fh:
+        json.dump(manifest, fh)
+    return circ
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "--n", "0", "--layers", "1"],
     ["gen", "--n", "4", "--layers", "-2"],
@@ -245,8 +276,20 @@ def test_threads_flag_rejected(tmp_path):
     ["pauliprop-bench", "--ns", "4", "--p", "nan"],
     ["graph-stats", "--ns", "20", "--p", "2"],
     ["graph-stats", "--ns", "20", "--p", "-0.5"],
+    ["features", "--circuit", "CIRCUIT", "--tau2", "-1"],
+    ["features", "--circuit", "CIRCUIT", "--tau2", "0"],
+    ["features", "--circuit", "CIRCUIT", "--tau2", "nan"],
+    ["features", "--circuit", "CIRCUIT", "--tau2", "inf"],
+    ["features", "--circuit", "CIRCUIT", "--samples", "0"],
+    ["features", "--circuit", "CIRCUIT", "--samples", "-3"],
+    ["features", "--circuit", "NEGATIVE_TAU2"],
+    ["features", "--circuit", "TEXT_TAU2"],
+    ["features", "--circuit", "NO_TAU2"],
 ], ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
 def test_bad_sizes_exit_2_before_work(tmp_path, capsys, argv):
+    if argv[0] == "features":
+        argv = [features_circuit(tmp_path, a) if a in FEATURES_MANIFESTS else a for a in argv]
+        capsys.readouterr()
     out = tmp_path / "out"
     assert run_cli(*argv, "--out", str(out), "--quiet") == 2
     assert not out.exists()

@@ -1,7 +1,8 @@
 """Pauli observables and the array kernels of the propagation engine.
 
-``_apply_rotation``, ``_apply_cz`` and ``_merge`` are the kernels that
-``propagate`` runs; they are checked here against dense matrices.
+``_apply_rotation``, ``_apply_cz``, ``_merge`` and ``_truncate`` are the
+kernels that ``propagate`` runs; they are checked here against dense matrices
+and against their ordering contracts.
 """
 
 import math
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 
 from qgenbench.circuits import Circuit, Gate, ROTATION_KINDS
 from qgenbench.pauli import PauliDimensionError, PauliString, PauliSum, PauliTerm
-from qgenbench.propagation import (TruncationPolicy, _PHASE_EXP, _TermArrays, _apply_cz,
-                                   _apply_rotation, _merge, propagate)
+from qgenbench.propagation import (PropagationReport, TruncationPolicy, _PHASE_EXP,
+                                   _TermArrays, _apply_cz, _apply_rotation, _merge,
+                                   _truncate, propagate)
 from qgenbench.statevector import dense_pauli_matrix
 
 LETTERS = "IXYZ"
@@ -25,8 +27,8 @@ def rand_string(rng, n):
 
 
 def arrays(s: PauliSum) -> _TermArrays:
-    """Engine arrays of a sum, merged as ``propagate`` merges its input."""
-    return _merge(_TermArrays.from_sum(s))
+    """Engine arrays of a sum, sorted as ``propagate`` holds its input."""
+    return _TermArrays.from_sum(s)
 
 
 def rand_arrays(rng, n, k):
@@ -45,17 +47,25 @@ def single(label, coefficient=1.0):
     return one_term(PauliString.from_label(label), coefficient)
 
 
+def string_of(key, n):
+    """PauliString of a packed (x << 32) | z engine key."""
+    return PauliString(n, int(key) >> 32, int(key) & 0xFFFFFFFF)
+
+
 def terms_of(t, n):
     """{label: (coefficient, sine count)} of engine arrays."""
-    return {PauliString(n, int(x), int(z)).label(): (float(c), int(s))
-            for x, z, c, s in zip(t.x, t.z, t.c, t.s)}
+    return {string_of(k, n).label(): (float(c), int(s)) for k, c, s in zip(t.k, t.c, t.s)}
 
 
 def dense(t, n):
     out = np.zeros((2**n, 2**n), dtype=complex)
-    for x, z, c in zip(t.x, t.z, t.c):
-        out += c * dense_pauli_matrix(PauliString(n, int(x), int(z)))
+    for k, c in zip(t.k, t.c):
+        out += c * dense_pauli_matrix(string_of(k, n))
     return out
+
+
+def increasing(keys):
+    return bool(np.all(keys[1:] > keys[:-1]))
 
 
 def norm_sq(t):
@@ -152,7 +162,7 @@ def test_conjugate_cz_involution():
     for _ in range(50):
         t = rand_arrays(rng, 5, 8)
         back = _apply_cz(_apply_cz(t, 1, 3), 1, 3)
-        for field in ("x", "z", "c", "s"):
+        for field in ("k", "c", "s"):
             assert np.array_equal(getattr(back, field), getattr(t, field))
 
 
@@ -251,12 +261,13 @@ def test_merge_keeps_min_sine_count():
 
 
 def test_merge_kernel_sums_duplicates():
-    # keys (x, z): Z twice, X, and Y cancelling to exact zero
-    t = _merge(_TermArrays([0, 1, 0, 1, 1], [1, 0, 1, 1, 1],
-                           [0.5, 2.0, 0.25, 0.125, -0.125], [3, 0, 1, 2, 2]))
+    # packed keys Z=1, X=2**32, Y=2**32+1: Z in both sets, X in the first
+    # only, and Y in both, cancelling to exact zero; the first set unsorted
+    x, y, z = 2**32, 2**32 + 1, 1
+    t = _merge(_TermArrays([y, x, z], [0.125, 2.0, 0.5], [2, 0, 3]),
+               _TermArrays([z, y], [0.25, -0.125], [1, 2]))
     assert terms_of(t, 1) == {"X": (2.0, 0), "Z": (0.75, 1)}
-    keys = (t.x << np.uint64(32)) | t.z
-    assert np.all(keys[:-1] < keys[1:])
+    assert increasing(t.k)
 
 
 @given(st.integers(0, 2**5 - 1), st.integers(0, 2**5 - 1),
@@ -276,3 +287,48 @@ def test_self_product_is_identity(x, z):
     p = PauliString(4, x, z)
     t = one_term(p)
     assert _apply_rotation(t, p, 0.4) is t
+
+
+def test_rotation_returns_increasing_keys():
+    rng = np.random.default_rng(8)
+    n = 5
+    unsorted_splits = 0
+    for _ in range(60):
+        t = rand_arrays(rng, n, 12)
+        assert increasing(t.k)
+        a, b = (int(q) for q in rng.choice(n, 2, replace=False))
+        shuffled = _apply_cz(t, a, b)  # CZ permutes keys out of order
+        for start in (t, shuffled):
+            gate = rand_rotation(rng, n)
+            out = _apply_rotation(start, gate.generator(n), gate.angle)
+            if out is not start:  # a rotation that splits nothing returns its input
+                assert increasing(out.k)
+                unsorted_splits += not increasing(start.k)
+    assert unsorted_splits >= 10
+
+
+def test_truncate_keeps_lowest_keys_among_ties_at_cap():
+    # |c| = 0.25 ties on keys 2, 4, 6 and 9; the cap of 3 keeps 0.5 and the
+    # two lowest tied keys
+    t = _TermArrays(np.array([1, 2, 3, 4, 6, 9], dtype=np.uint64),
+                    [0.5, -0.25, 0.125, 0.25, 0.25, -0.25], [0] * 6)
+    report = PropagationReport(expectation=0.0)
+    out = _truncate(t, TruncationPolicy(max_terms=3), report)
+    assert out.k.tolist() == [1, 2, 4]
+    assert out.c.tolist() == [0.5, -0.25, 0.25]
+    assert report.dropped_mass == 0.25 + 0.25 + 0.125
+
+
+def test_cap_dropped_mass_is_descending_sum():
+    # magnitudes on a coarse grid tie often; the lost ones must be summed
+    # largest first, which fixes the rounding of the running total
+    rng = np.random.default_rng(9)
+    for cap in (1, 37, 400, 999):
+        c = rng.integers(1, 40, 1000) / 7.0 * rng.choice([-1.0, 1.0], 1000)
+        c[::7] = rng.normal(size=len(c[::7]))
+        t = _TermArrays(np.arange(1000, dtype=np.uint64), c, np.zeros(1000, dtype=np.int64))
+        report = PropagationReport(expectation=0.0)
+        out = _truncate(t, TruncationPolicy(max_terms=cap), report)
+        order = np.argsort(-np.abs(c), kind="stable")
+        assert out.k.tolist() == sorted(order[:cap].tolist())
+        assert report.dropped_mass == float(np.sum(np.abs(c[order[cap:]])))

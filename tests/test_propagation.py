@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from qgenbench.circuits import (BRICK_PARAMS, BrickLayer, Circuit, CZLayer, GenerativeSpec,
                                 RotationLayer, build_generative, build_trainable,
                                 concatenate, default_depth)
-from qgenbench.pauli import PauliString, PauliSum, PauliTerm
-from qgenbench.propagation import (PropagationReport, ResourceLimitError,
+from qgenbench.pauli import COEFF_EPS, PauliString, PauliSum, PauliTerm
+from qgenbench.propagation import (_PHASE_EXP, PropagationReport, ResourceLimitError,
                                    TruncationPolicy, benchmark_propagation,
                                    propagate, sine_cutoff_default)
 from qgenbench.seeding import derive_seed
@@ -157,16 +157,17 @@ ANGLES = st.floats(-1.6, 1.6, allow_nan=False)
 
 
 @st.composite
-def random_circuits(draw):
+def random_circuits(draw, max_n=6, angles=ANGLES):
     """Up to 5 layers of X/Y/Z rotations, CZ edges and bricks on any disjoint
-    pairs (reversed and non-adjacent included), n from 2 to 6."""
-    n = draw(st.integers(2, 6))
+    pairs (reversed and non-adjacent included), n from 2 to `max_n`."""
+    n = draw(st.integers(2, max_n))
     layers, num_params = [], 0
     for kind in draw(st.lists(st.sampled_from(["rot", "cz", "brick"]), min_size=1,
                               max_size=5)):
         if kind == "rot":
-            angles = draw(st.lists(ANGLES, min_size=n, max_size=n))
-            layers.append(RotationLayer(draw(st.sampled_from("XYZ")), "gen", tuple(angles)))
+            layer_angles = draw(st.lists(angles, min_size=n, max_size=n))
+            layers.append(RotationLayer(draw(st.sampled_from("XYZ")), "gen",
+                                        tuple(layer_angles)))
             continue
         order = draw(st.permutations(range(n)))
         pairs = [(order[2 * i], order[2 * i + 1]) for i in range(n // 2)]
@@ -179,7 +180,7 @@ def random_circuits(draw):
                         for i in range(len(pairs)))
             num_params += BRICK_PARAMS * len(pairs)
             layers.append(BrickLayer(tuple(pairs), ids))
-    theta = draw(st.lists(ANGLES, min_size=num_params, max_size=num_params))
+    theta = draw(st.lists(angles, min_size=num_params, max_size=num_params))
     return Circuit(n, tuple(layers), np.asarray(theta, dtype=float))
 
 
@@ -216,3 +217,169 @@ def test_propagation_matches_statevector_on_random_circuits(data):
     for policy in policies:
         rep = propagate(circ, obs, policy)
         assert abs(rep.expectation - exact) <= rep.dropped_mass + 1e-9, policy
+
+
+# --- reference engine ------------------------------------------------------
+# Separate x and z arrays; every rotation re-merges all terms with one
+# np.unique pass (np.add.at / np.minimum.at), and the term cap keeps the head
+# of a stable argsort of -|c|.  propagate must match it bitwise.
+
+class _RefTerms:
+    def __init__(self, x, z, c, s):
+        self.x = np.asarray(x, dtype=np.uint64)
+        self.z = np.asarray(z, dtype=np.uint64)
+        self.c = np.asarray(c, dtype=np.float64)
+        self.s = np.asarray(s, dtype=np.int64)
+
+    def __len__(self):
+        return len(self.c)
+
+    def take(self, idx):
+        return _RefTerms(self.x[idx], self.z[idx], self.c[idx], self.s[idx])
+
+
+def _ref_merge(t):
+    keys = (t.x << np.uint64(32)) | t.z
+    uniq, inv = np.unique(keys, return_inverse=True)
+    c = np.zeros(len(uniq))
+    np.add.at(c, inv, t.c)
+    s = np.full(len(uniq), np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(s, inv, t.s)
+    keep = np.abs(c) >= COEFF_EPS
+    return _RefTerms(uniq[keep] >> np.uint64(32), uniq[keep] & np.uint64(0xFFFFFFFF),
+                     c[keep], s[keep])
+
+
+def _ref_letters(x, z, q):
+    xb = ((x >> np.uint64(q)) & np.uint64(1)).astype(np.int64)
+    zb = ((z >> np.uint64(q)) & np.uint64(1)).astype(np.int64)
+    return np.array([0, 1, 3, 2])[2 * zb + xb]
+
+
+def _ref_rotation(t, gen, angle):
+    gx, gz = np.uint64(gen.x), np.uint64(gen.z)
+    anti = ((np.bitwise_count(t.x & gz) + np.bitwise_count(t.z & gx)) & 1).astype(bool)
+    if not anti.any():
+        return t
+    c2, s2 = math.cos(2 * angle), math.sin(2 * angle)
+    ax, az, ac, asn = t.x[anti], t.z[anti], t.c[anti], t.s[anti]
+    k = np.ones(len(ac), dtype=np.int64)
+    for q in range(gen.n):
+        gl = gen.letter_index(q)
+        if gl:
+            k += _PHASE_EXP[gl, _ref_letters(ax, az, q)]
+    sign = np.where(k % 4 == 0, 1.0, -1.0)
+    return _ref_merge(_RefTerms(np.concatenate([t.x[~anti], ax, ax ^ gx]),
+                                np.concatenate([t.z[~anti], az, az ^ gz]),
+                                np.concatenate([t.c[~anti], ac * c2, ac * s2 * sign]),
+                                np.concatenate([t.s[~anti], asn, asn + 1])))
+
+
+def _ref_cz(t, a, b):
+    one = np.uint64(1)
+    xa, xb = (t.x >> np.uint64(a)) & one, (t.x >> np.uint64(b)) & one
+    za, zb = (t.z >> np.uint64(a)) & one, (t.z >> np.uint64(b)) & one
+    c = t.c.copy()
+    c[(xa & xb & (za ^ zb)).astype(bool)] *= -1
+    return _RefTerms(t.x, t.z ^ (xb << np.uint64(a)) ^ (xa << np.uint64(b)), c, t.s)
+
+
+def _ref_truncate(t, pol, report):
+    if pol.exact:
+        if pol.max_terms is not None and len(t) > pol.max_terms:
+            report.final_terms = len(t)
+            raise ResourceLimitError("exact mode exceeded max_terms", report)
+        return t
+    drop = np.zeros(len(t), dtype=bool)
+    if pol.sine_cutoff is not None:
+        drop |= t.s > pol.sine_cutoff
+    if pol.coeff_threshold is not None:
+        drop |= np.abs(t.c) < pol.coeff_threshold
+    if pol.weight_cutoff is not None:
+        drop |= np.bitwise_count(t.x | t.z) > pol.weight_cutoff
+    if drop.any():
+        report.dropped_mass += float(np.sum(np.abs(t.c[drop])))
+        t = t.take(~drop)
+    if pol.max_terms is not None and len(t) > pol.max_terms:
+        order = np.argsort(-np.abs(t.c), kind="stable")
+        keep, lose = order[:pol.max_terms], order[pol.max_terms:]
+        report.dropped_mass += float(np.sum(np.abs(t.c[lose])))
+        keep.sort()
+        t = t.take(keep)
+    return t
+
+
+def reference_propagate(circuit, observable, policy):
+    """Report of the reference engine; wall_time is left at 0."""
+    terms = list(observable)
+    t = _ref_merge(_RefTerms([p.string.x for p in terms], [p.string.z for p in terms],
+                             [p.coefficient for p in terms], [p.sine_count for p in terms]))
+    report = PropagationReport(expectation=0.0)
+    for step, gate in enumerate(reversed(list(circuit.gates()))):
+        if gate.kind == "CZ":
+            t = _ref_cz(t, *gate.qubits)
+        else:
+            t = _ref_rotation(t, gate.generator(circuit.n), gate.angle)
+            t = _ref_truncate(t, policy.at_step(step), report)
+        report.terms_per_step.append(len(t))
+        report.peak_terms = max(report.peak_terms, len(t))
+    report.expectation = float(np.sum(t.c[t.x == 0]))
+    report.final_terms = len(t)
+    return report
+
+
+# Multiples of pi/8 make coefficient magnitudes tie, so that the term cap
+# has to break ties.
+SNAPPED_ANGLES = st.one_of(st.integers(-8, 8).map(lambda k: k * math.pi / 8), ANGLES)
+REPORT_FIELDS = ("expectation", "dropped_mass", "terms_per_step", "peak_terms", "final_terms")
+
+
+def assert_same_report(circ, obs, policy):
+    """propagate and the reference give equal reports, field by field; an
+    exact-mode overrun raises in both, with equal partial reports."""
+    try:
+        want = reference_propagate(circ, obs, policy)
+    except ResourceLimitError as err:
+        want = err.report
+        with pytest.raises(ResourceLimitError) as raised:
+            propagate(circ, obs, policy)
+        got = raised.value.report
+    else:
+        got = propagate(circ, obs, policy)
+    for name in REPORT_FIELDS:
+        assert getattr(got, name) == getattr(want, name), (name, policy)
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_propagate_matches_reference_bitwise(data):
+    circ = data.draw(random_circuits(max_n=10, angles=SNAPPED_ANGLES))
+    n = circ.n
+    obs = data.draw(random_observables(n))
+    cap = st.integers(1, 64)
+    later = TruncationPolicy(weight_cutoff=data.draw(st.integers(0, n)),
+                             max_terms=data.draw(cap))
+    policies = [
+        TruncationPolicy.exact_mode(max_terms=data.draw(st.integers(1, 512))),
+        TruncationPolicy(sine_cutoff=data.draw(st.integers(0, 2))),
+        TruncationPolicy(coeff_threshold=data.draw(st.floats(0.01, 0.5))),
+        TruncationPolicy(weight_cutoff=data.draw(st.integers(0, 2))),
+        TruncationPolicy(max_terms=data.draw(cap)),
+        TruncationPolicy(sine_cutoff=data.draw(st.integers(0, 3)), max_terms=data.draw(cap),
+                         coeff_threshold=data.draw(st.sampled_from([None, 0.05]))),
+        TruncationPolicy(sine_cutoff=data.draw(st.integers(0, 2)),
+                         dynamic_schedule={data.draw(st.integers(0, 40)): later}),
+    ]
+    for policy in policies:
+        assert_same_report(circ, obs, policy)
+
+
+@pytest.mark.parametrize("trial", [0, 3])
+def test_propagate_matches_reference_at_workload_cap(trial):
+    # hypothesis sizes never reach the 2**14-term cap of the n = 24 study
+    n = 24
+    circ = build_generative(GenerativeSpec(n, 4, math.log(n) / n, 0.2499,
+                                           derive_seed(11, n, trial, 0)))
+    policy = TruncationPolicy(sine_cutoff=sine_cutoff_default(n), max_terms=2**14)
+    assert_same_report(circ, z_obs(n), policy)
+    assert max(propagate(circ, z_obs(n), policy).terms_per_step) == 2**14
