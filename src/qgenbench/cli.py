@@ -23,12 +23,16 @@ from .circuits import (Circuit, GenerativeSpec, RotationLayer, build_generative,
 from .experiments import (CSV_COLUMNS, ConfigError, ExperimentConfig, read_csv,
                           run_experiment, write_csv)
 from .pauli import PauliString, PauliSum, PauliTerm
-from .propagation import (MAX_PROP_QUBITS, TruncationPolicy, benchmark_propagation,
-                          propagate)
+from .propagation import (MAX_PROP_QUBITS, ResourceLimitError, TruncationPolicy,
+                          benchmark_propagation, propagate)
 from .graphs import treewidth_trend
 from .seeding import derive_seed, rng_for
 from .shadows import collect_shadows, shadows_to_csv
-from .statevector import expectation, run
+from .statevector import MAX_SV_QUBITS, expectation, run
+
+# Term bound of the exact propagation behind `features --backend propagation`:
+# 2**20 terms are 24 MiB of term arrays, a few times that while merging.
+FEATURES_MAX_TERMS = 2**20
 
 
 class CliError(Exception):
@@ -66,6 +70,13 @@ def _check_p(p: Optional[float]) -> None:
         raise CliError(f"--p must lie in [0, 1], got {p}")
 
 
+def _check_qubits(circuit: Circuit, backend: str) -> None:
+    """Reject a circuit wider than the engine `backend` simulates."""
+    cap = MAX_SV_QUBITS if backend == "statevector" else MAX_PROP_QUBITS
+    if circuit.n > cap:
+        raise CliError(f"the {backend} engine caps at {cap} qubits, got n={circuit.n}")
+
+
 def _default_observables(n: int) -> List[PauliString]:
     obs = [PauliString.single(n, q, "Z") for q in range(n)]
     for q in range(n - 1):
@@ -83,7 +94,10 @@ def _parse_observables(text: Optional[str], n: int) -> List[PauliString]:
         label = label.strip()
         if len(label) != n:
             raise CliError(f"observable {label!r} must have exactly {n} letters")
-        out.append(PauliString.from_label(label))
+        try:
+            out.append(PauliString.from_label(label))
+        except ValueError as exc:
+            raise CliError(f"observable {label!r}: {exc}")
     return out
 
 
@@ -156,6 +170,7 @@ def _circuit_tau2(args) -> float:
 def cmd_features(args) -> int:
     _check_size("--samples", args.samples, 1)
     circuit = _load_circuit(args.circuit)
+    _check_qubits(circuit, args.backend)
     n = circuit.n
     observables = _parse_observables(args.observables, n)
     tau2 = _circuit_tau2(args)
@@ -166,9 +181,12 @@ def cmd_features(args) -> int:
             state = run(sampled)
             feats = [expectation(state, PauliSum(n, [PauliTerm(1.0, o)])) for o in observables]
         else:
-            policy = TruncationPolicy.exact_mode()
-            feats = [propagate(sampled, PauliSum(n, [PauliTerm(1.0, o)]), policy).expectation
-                     for o in observables]
+            policy = TruncationPolicy.exact_mode(FEATURES_MAX_TERMS)
+            try:
+                feats = [propagate(sampled, PauliSum(n, [PauliTerm(1.0, o)]),
+                                   policy).expectation for o in observables]
+            except ResourceLimitError as exc:
+                raise CliError(f"sample {i}: {exc}")
         row = {"sample": i}
         row.update({o.label(): f for o, f in zip(observables, feats)})
         rows.append(row)
@@ -277,6 +295,8 @@ def cmd_pauliprop_bench(args) -> int:
     _check_size("--trials", args.trials, 1)
     _check_size("--layers", args.layers, 0)
     _check_size("--trainable-depth", args.trainable_depth, 0)
+    _check_size("--max-terms", args.max_terms, 1)
+    _check_size("--sine-cutoff", args.sine_cutoff, 0)
     _check_p(args.p)
     if args.exact:
         policy: Optional[TruncationPolicy] = TruncationPolicy.exact_mode(args.max_terms)
@@ -284,9 +304,12 @@ def cmd_pauliprop_bench(args) -> int:
         policy = TruncationPolicy(sine_cutoff=args.sine_cutoff, max_terms=args.max_terms)
     else:
         policy = None  # per-n default cutoff ceil(log2 n)
-    rows = benchmark_propagation(ns, policy, args.trials, args.seed,
-                                 layers=args.layers, p=args.p,
-                                 trainable_depth=args.trainable_depth)
+    try:
+        rows = benchmark_propagation(ns, policy, args.trials, args.seed,
+                                     layers=args.layers, p=args.p,
+                                     trainable_depth=args.trainable_depth)
+    except ResourceLimitError as exc:
+        raise CliError(str(exc))
     write_csv(args.out, rows, CSV_COLUMNS["pauliprop"])
     _info(args, f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -304,7 +327,9 @@ def cmd_graph_stats(args) -> int:
 
 
 def cmd_shadows(args) -> int:
+    _check_size("--shots", args.shots, 1)
     circuit = _load_circuit(args.circuit)
+    _check_qubits(circuit, "statevector")
     state = run(circuit)
     shadows = collect_shadows(state, args.shots, args.seed)
     with open(args.out, "w") as fh:

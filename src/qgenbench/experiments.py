@@ -10,15 +10,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuits import (Circuit, BrickLayer, GenerativeSpec, backward_lightcone,
-                       build_generative, build_trainable, concatenate, default_depth,
-                       default_layers, default_p, resolve_tau2)
+from .circuits import (BRICK_PARAMS, Circuit, BrickLayer, GenerativeSpec,
+                       backward_lightcone, brick_pairs, build_generative, build_trainable,
+                       concatenate, default_depth, default_layers, default_p, resolve_tau2)
 from .metrics import distinguishability, weak_subvolume_gap
 from .pauli import PauliString, PauliSum, PauliTerm
 from .propagation import MAX_PROP_QUBITS, TruncationPolicy, benchmark_propagation
@@ -62,24 +63,43 @@ class ExperimentConfig:
     sine_cutoff: Optional[int] = None  # pauliprop: None = ceil(log2 n) per n
 
     def __post_init__(self):
-        self.ns = tuple(int(n) for n in self.ns)
-        self.subsystem = tuple(int(q) for q in self.subsystem)
-        self.sigma = tuple((int(q), str(l)) for q, l in self.sigma)
         if self.experiment not in EXPERIMENT_IDS:
             raise ConfigError("unknown-experiment", f"unknown experiment id {self.experiment!r}")
-        if not self.ns:
-            raise ConfigError("bad-config", "ns must be non-empty")
-        if min(self.ns) < 1:
-            raise ConfigError("bad-config", "ns must be positive")
-        if self.trials <= 0:
-            raise ConfigError("bad-config", "trials must be positive")
+        if not isinstance(self.ns, (list, tuple)) or not self.ns:
+            raise ConfigError("bad-config", f"ns must be a non-empty list, got {self.ns!r}")
+        self.ns = tuple(_integer("ns", n, 1) for n in self.ns)
+        try:
+            self.subsystem = tuple(_integer("subsystem", q, 0) for q in self.subsystem)
+            self.sigma = tuple((_integer("sigma", q, 0), l) for q, l in self.sigma)
+        except (TypeError, ValueError) as exc:  # ValueError: a pair of the wrong length
+            raise ConfigError("bad-config", f"subsystem must list qubits and sigma "
+                                            f"[qubit, letter] pairs: {exc}") from exc
+        if not all(l in ("X", "Y", "Z") for _, l in self.sigma):
+            raise ConfigError("bad-config", f"sigma letters must be X, Y or Z: {self.sigma}")
+        # subvolume and gradvar report ddof=1 spreads, which need two trials
+        self.trials = _integer("trials", self.trials,
+                               2 if self.experiment in ("subvolume", "gradvar") else 1)
+        self.seed = _integer("seed", self.seed, 0)
+        for name, least in (("layers", 1 if self.experiment == "treewidth" else 0),
+                            ("trainable_depth", 0), ("shift_param", 0), ("sine_cutoff", 0)):
+            if getattr(self, name) is not None:
+                setattr(self, name, _integer(name, getattr(self, name), least))
+        if self.experiment == "gradvar":
+            shifted = self.shift_param or 0  # None: a middle parameter, so one must exist
+            for n in self.ns:
+                for depth in self.gradvar_depths(n).values():
+                    count = BRICK_PARAMS * sum(len(brick_pairs(n, l)) for l in range(depth))
+                    if depth and count <= shifted:
+                        raise ConfigError("bad-config", f"gradvar needs trainable parameter "
+                                                        f"{shifted}; n={n} at depth {depth} "
+                                                        f"has {count}")
         if self.experiment == "pauliprop" and max(self.ns) > MAX_PROP_QUBITS:
             raise ConfigError("bad-config", f"propagation caps at {MAX_PROP_QUBITS} qubits, "
                                             f"got n={max(self.ns)}")
-        if self.p is not None and not 0.0 <= self.p <= 1.0:
-            raise ConfigError("bad-config", f"p must lie in [0, 1], got {self.p}")
-        if self.tau2 is not None and not self.tau2 > 0:
-            raise ConfigError("bad-config", f"tau2 must be positive, got {self.tau2}")
+        if self.p is not None and not (_real(self.p) and 0.0 <= self.p <= 1.0):
+            raise ConfigError("bad-config", f"p must lie in [0, 1], got {self.p!r}")
+        if self.tau2 is not None and not (_real(self.tau2) and self.tau2 > 0):
+            raise ConfigError("bad-config", f"tau2 must be positive, got {self.tau2!r}")
         referenced = set(self.subsystem) | {q for q, _ in self.sigma}
         if referenced and max(referenced) >= min(self.ns):
             raise ConfigError("bad-config",
@@ -110,13 +130,7 @@ class ExperimentConfig:
         missing = {"experiment", "ns"} - set(obj)
         if missing:
             raise ConfigError("bad-config", f"missing config keys: {sorted(missing)}")
-        kwargs = dict(obj)
-        kwargs["ns"] = tuple(kwargs["ns"])
-        if "subsystem" in kwargs:
-            kwargs["subsystem"] = tuple(kwargs["subsystem"])
-        if "sigma" in kwargs:
-            kwargs["sigma"] = tuple((q, l) for q, l in kwargs["sigma"])
-        return cls(**kwargs)
+        return cls(**obj)
 
     def resolved_layers(self, n: int) -> int:
         if self.layers is not None:
@@ -128,11 +142,28 @@ class ExperimentConfig:
     def resolved_p(self, n: int) -> float:
         return self.p if self.p is not None else default_p(n)
 
+    def gradvar_depths(self, n: int) -> Dict[str, int]:
+        """Trainable depth of each gradvar arm at n."""
+        return {"log_depth": (self.trainable_depth if self.trainable_depth is not None
+                              else default_depth(n)),
+                "linear_depth": n}
+
     def resolved_tau2(self, n: int) -> float:
         if self.tau2 is not None:
             return self.tau2
         return resolve_tau2(self.tau2_preset, n, self.resolved_layers(n),
                             max_weight=max(1, len(self.sigma)))
+
+
+def _integer(name: str, value, least: int) -> int:
+    """A config integer of at least `least`; text, floats and bools are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError("bad-config", f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def theorem_bound(max_weight: int, layers: int, tau2: float) -> float:
@@ -227,13 +258,11 @@ def gradient_variance_experiment(config: ExperimentConfig) -> List[dict]:
     log-depth arm decaying slower than the control is the trainability
     signature.
     """
-    arms = {"log_depth": lambda n: (config.trainable_depth if config.trainable_depth
-                                    is not None else default_depth(n)),
-            "linear_depth": lambda n: n}
-    results: Dict[str, List[Tuple[int, int, float]]] = {}
-    for arm, depth_of in arms.items():
-        results[arm] = [(n, depth_of(n), _gradvar_arm(config, n, depth_of(n)))
-                        for n in config.ns]
+    results: Dict[str, List[Tuple[int, int, float]]] = {"log_depth": [], "linear_depth": []}
+    for arm, triples in results.items():
+        for n in config.ns:
+            depth = config.gradvar_depths(n)[arm]
+            triples.append((n, depth, _gradvar_arm(config, n, depth)))
     rows = []
     for arm, triples in results.items():
         ns = np.array([t[0] for t in triples], dtype=float)

@@ -32,15 +32,6 @@ from .seeding import derive_seed
 
 MAX_PROP_QUBITS = 32  # merge keys pack (x, z) into one uint64
 
-# exponent k of the phase i**k in the single-qubit product a*b, indexed
-# [a_letter][b_letter] with I=0 X=1 Y=2 Z=3: cyclic X->Y->Z->X gives +i (k=1),
-# anti-cyclic gives -i (k=3), and products with I or a repeated letter are real
-_PHASE_EXP = np.array([[0, 0, 0, 0],
-                       [0, 0, 1, 3],
-                       [0, 3, 0, 1],
-                       [0, 1, 3, 0]], dtype=np.int64)
-
-
 class ResourceLimitError(RuntimeError):
     """Raised when exact-mode term count exceeds max_terms; carries the
     partial report collected so far."""
@@ -151,9 +142,6 @@ def _merge(a: _TermArrays, b: _TermArrays) -> _TermArrays:
     return t if keep.all() else t.take(np.flatnonzero(keep))
 
 
-_XZ_TO_LETTER = np.array([0, 1, 3, 2], dtype=np.int64)  # index 2*z + x
-
-
 def _apply_rotation(t: _TermArrays, gen: PauliString, angle: float) -> _TermArrays:
     # P anticommutes with G when |x & gz| + |z & gx| is odd: one popcount
     # against the generator's key with x and z swapped
@@ -162,21 +150,20 @@ def _apply_rotation(t: _TermArrays, gen: PauliString, angle: float) -> _TermArra
         return t
     c2, s2 = math.cos(2 * angle), math.sin(2 * angle)
     ak, ac, asn = t.k[anti], t.c[anti], t.s[anti]
-    # sign of the sine branch: real part of i * phase(G P), from the letters
-    # of P on the generator's support
-    ph = np.ones(len(ac), dtype=np.int64)  # the leading factor of i
-    support = gen.x | gen.z
-    while support:
-        q = (support & -support).bit_length() - 1  # lowest support qubit
-        support &= support - 1
-        xb = (ak >> np.uint64(32 + q)) & np.uint64(1)
-        zb = (ak >> np.uint64(q)) & np.uint64(1)
-        ph += _PHASE_EXP[gen.letter_index(q), _XZ_TO_LETTER][(2 * zb + xb).astype(np.intp)]
+    # the sine branch P -> iGP is a bijection, so its keys are distinct
+    sk = ak ^ np.uint64(_key(gen.x, gen.z))
+    # its sign: with P = i^(x.z) X^x Z^z, GP = i^k X^x3 Z^z3 for x3, z3 the
+    # XORs and k = gx.gz + px.pz + 2 gz.px - x3.z3, so iGP carries the real
+    # phase i^(1+k); each dot product is one popcount of packed keys
+    hi = np.uint64(32)
+    ph = (np.bitwise_count((ak >> hi) & ak).astype(np.int64)
+          + 2 * np.bitwise_count(ak & np.uint64(gen.z << 32))
+          - np.bitwise_count((sk >> hi) & sk)
+          + (gen.x & gen.z).bit_count() + 1)
     sign = np.where(ph % 4 == 0, 1.0, -1.0)
     c = t.c.copy()
     c[anti] = ac * c2
-    # the sine branch P -> iGP is a bijection, so its keys are distinct
-    sine = _TermArrays(ak ^ np.uint64(_key(gen.x, gen.z)), ac * s2 * sign, asn + 1)
+    sine = _TermArrays(sk, ac * s2 * sign, asn + 1)
     return _merge(_TermArrays(t.k, c, t.s), sine)
 
 

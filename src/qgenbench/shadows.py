@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, List, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class ShadowSet:
     n: int
     bases: np.ndarray    # (N, n) int8
     outcomes: np.ndarray  # (N, n) int8
-    seed: int = 0
 
     def __post_init__(self):
         if self.bases.shape != self.outcomes.shape or self.bases.shape[1:] != (self.n,):
@@ -53,14 +52,6 @@ class ShadowSet:
 
     def __len__(self) -> int:
         return len(self.bases)
-
-    def to_csv_rows(self) -> List[dict]:
-        rows = []
-        for b, o in zip(self.bases, self.outcomes):
-            row = {f"basis_{q}": BASIS_LETTERS[b[q]] for q in range(self.n)}
-            row.update({f"out_{q}": int(o[q]) for q in range(self.n)})
-            rows.append(row)
-        return rows
 
 
 def _sample_bitstrings(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -72,49 +63,29 @@ def _sample_bitstrings(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 def collect_shadows(state: StateVector, num_samples: int, seed: int) -> ShadowSet:
     """Measure `num_samples` random-Pauli-basis shots of a fixed state.
 
-    For small registers the 3^n basis combinations are enumerated once and
-    shots are sampled vectorized; larger registers fall back to per-shot
-    rotation.  Both paths are deterministic given the seed.
+    Shots are grouped by their basis combination: each distinct combination
+    rotates one copy of the state and samples all of its shots, each with its
+    own uniform draw, from that copy's probabilities.  Deterministic given
+    the seed.
     """
     rng = rng_for(seed)
     n = state.n
     bases = rng.integers(0, 3, size=(num_samples, n), dtype=np.int8)
-    outcomes = np.empty((num_samples, n), dtype=np.int8)
-    if num_samples == 0:
-        return ShadowSet(n, bases, outcomes, seed)
     u = rng.random(num_samples)
-
-    if 3**n <= 20000:
-        combo = np.zeros(num_samples, dtype=np.int64)
-        for q in range(n):
-            combo = combo * 3 + bases[:, q]
-        bits = np.empty(num_samples, dtype=np.int64)
-        for cid in np.unique(combo):
-            letters = []
-            rest = int(cid)
-            for _ in range(n):
-                letters.append(rest % 3)
-                rest //= 3
-            letters = letters[::-1]  # letters[q] = basis at qubit q
-            amps = state.amplitudes.copy()
-            for q in range(n):
-                if letters[q] != 2:
-                    apply_1q_inplace(amps, n, q, _BASIS_ROT[letters[q]])
-            probs = np.abs(amps) ** 2
-            sel = combo == cid
-            bits[sel] = _sample_bitstrings(probs, u[sel])
-    else:
-        bits = np.empty(num_samples, dtype=np.int64)
-        for i in range(num_samples):
-            amps = state.amplitudes.copy()
-            for q in range(n):
-                if bases[i, q] != 2:
-                    apply_1q_inplace(amps, n, q, _BASIS_ROT[bases[i, q]])
-            bits[i] = _sample_bitstrings(np.abs(amps) ** 2, u[i:i + 1])[0]
-
-    for q in range(n):
-        outcomes[:, q] = 1 - 2 * ((bits >> q) & 1)
-    return ShadowSet(n, bases, outcomes, seed)
+    # base-3 code of each shot's bases; exact in int64 for any n the
+    # statevector holds (3**24 < 2**63)
+    codes = bases.astype(np.int64) @ 3 ** np.arange(n, dtype=np.int64)
+    order = np.argsort(codes, kind="stable")
+    starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+    bits = np.empty(num_samples, dtype=np.int64)
+    for shots in np.split(order, starts)[1:]:  # one index array per combination
+        amps = state.amplitudes.copy()
+        for q, b in enumerate(bases[shots[0]].tolist()):
+            if b != 2:
+                apply_1q_inplace(amps, n, q, _BASIS_ROT[b])
+        bits[shots] = _sample_bitstrings(np.abs(amps) ** 2, u[shots])
+    outcomes = (1 - 2 * ((bits[:, None] >> np.arange(n)) & 1)).astype(np.int8)
+    return ShadowSet(n, bases, outcomes)
 
 
 def single_shot_values(shadows: ShadowSet, pauli: PauliString) -> np.ndarray:

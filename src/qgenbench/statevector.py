@@ -23,7 +23,7 @@ from .circuits import (BRICK_PARAMS, ROTATION_KINDS, BrickLayer, Circuit, CZLaye
                        RotationLayer)
 from .pauli import PauliString, PauliSum
 
-_MAX_QUBITS = 24
+MAX_SV_QUBITS = 24
 
 
 @dataclass
@@ -33,8 +33,8 @@ class StateVector:
 
     @classmethod
     def zero(cls, n: int) -> "StateVector":
-        if n > _MAX_QUBITS:
-            raise ValueError(f"statevector engine caps at {_MAX_QUBITS} qubits")
+        if n > MAX_SV_QUBITS:
+            raise ValueError(f"statevector engine caps at {MAX_SV_QUBITS} qubits")
         amps = np.zeros(2**n, dtype=np.complex128)
         amps[0] = 1.0
         return cls(n, amps)
@@ -87,8 +87,8 @@ def dense_pauli_matrix(p: PauliString) -> np.ndarray:
             "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.array([[1, 0], [0, -1]], dtype=complex)}
     out = np.eye(1, dtype=complex)
     # qubit 0 is the LSB, so it is the rightmost kron factor
-    for q in range(p.n - 1, -1, -1):
-        out = np.kron(out, mats["IXYZ"[["I", "X", "Y", "Z"].index(p.label()[q])]])
+    for letter in reversed(p.label()):
+        out = np.kron(out, mats[letter])
     return out
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qgenbench.circuits import circuit_from_json
+from qgenbench import cli
 from qgenbench.cli import main
 from qgenbench.experiments import read_csv
 
@@ -134,8 +135,29 @@ def test_experiment_bad_config(tmp_path):
     {"experiment": "subvolume", "ns": [1, 4], "trials": 2},
     {"experiment": "lightcone", "ns": [20], "tau2_preset": "bogus", "trials": 1},
     {"experiment": "treewidth", "ns": [0, 20], "subsystem": [], "sigma": [], "trials": 1},
+    {"experiment": "treewidth", "ns": [20], "layers": 0, "trials": 1},
+    {"experiment": "lightcone", "ns": "ab", "trials": 1},
+    {"experiment": "lightcone", "ns": [20], "trials": "3"},
+    {"experiment": "gradvar", "ns": [4], "trainable_depth": -1, "trials": 2},
+    {"experiment": "gradvar", "ns": [4], "shift_param": 999, "trials": 2},
+    {"experiment": "pauliprop", "ns": [4], "layers": -2, "trials": 1},
+    {"experiment": "gradvar", "ns": [4], "trials": 1},
+    {"experiment": "subvolume", "ns": [4], "trials": 1},
+    {"experiment": "gradvar", "ns": [1], "tau2": 0.1, "trials": 2},
+    {"experiment": "lightcone", "ns": [20], "seed": -1, "trials": 1},
+    {"experiment": "treewidth", "ns": [20], "p": "x", "trials": 1},
+    {"experiment": "pauliprop", "ns": [4], "sine_cutoff": -1, "trials": 1},
+    {"experiment": "lightcone", "ns": [20], "subsystem": ["a"], "trials": 1},
+    {"experiment": "subvolume", "ns": [4], "sigma": [[0, "Q"]], "trials": 2},
+    {"experiment": "subvolume", "ns": [4], "sigma": ["Z0"], "trials": 2},
+    {"experiment": "lightcone", "ns": [20], "subsystem": 0, "trials": 1},
 ], ids=["pauliprop_ns_33", "pauliprop_ns_4_40", "treewidth_p_2", "lightcone_tau2_0",
-        "subvolume_theorem_n_1", "lightcone_unknown_preset", "treewidth_ns_0"])
+        "subvolume_theorem_n_1", "lightcone_unknown_preset", "treewidth_ns_0",
+        "treewidth_layers_0", "ns_text", "trials_text", "gradvar_trainable_depth_-1",
+        "gradvar_shift_param_999", "pauliprop_layers_-2", "gradvar_trials_1",
+        "subvolume_trials_1", "gradvar_n_1_no_bricks", "seed_-1", "p_text",
+        "pauliprop_sine_cutoff_-1", "subsystem_text", "sigma_letter_Q",
+        "sigma_not_pairs", "subsystem_not_list"])
 def test_experiment_rejected_config_exit_2(tmp_path, capsys, obj):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(obj))
@@ -239,15 +261,18 @@ def test_threads_flag_rejected(tmp_path):
     assert exc.value.code == 2
 
 
-# A features case names a 3-qubit circuit from gen.  Its manifest keeps gen's
-# tau2 (CIRCUIT), or has tau2 replaced, or removed (None).
+# A features or shadows case names a circuit from gen: 3 qubits, or as many as
+# N25 and N33 say.  Its manifest keeps gen's tau2, or has tau2 replaced, or
+# removed (None).
 FEATURES_MANIFESTS = {"CIRCUIT": {}, "NEGATIVE_TAU2": {"tau2": -1.0},
-                      "TEXT_TAU2": {"tau2": "wide"}, "NO_TAU2": {"tau2": None}}
+                      "TEXT_TAU2": {"tau2": "wide"}, "NO_TAU2": {"tau2": None},
+                      "N25": {}, "N33": {}}
 
 
 def features_circuit(tmp_path, name):
     circ = str(tmp_path / "c.json")
-    assert run_cli("gen", "--n", "3", "--layers", "1", "--out", circ, "--quiet") == 0
+    n = name[1:] if name in ("N25", "N33") else "3"
+    assert run_cli("gen", "--n", n, "--layers", "1", "--out", circ, "--quiet") == 0
     with open(circ + ".manifest.json") as fh:
         manifest = json.load(fh)
     manifest.update(FEATURES_MANIFESTS[name])
@@ -274,6 +299,9 @@ def features_circuit(tmp_path, name):
     ["gen", "--n", "1", "--layers", "1", "--tau2-preset", "theorem"],
     ["pauliprop-bench", "--ns", "4", "--p", "1.5"],
     ["pauliprop-bench", "--ns", "4", "--p", "nan"],
+    ["pauliprop-bench", "--ns", "4", "--exact", "--max-terms", "0"],
+    ["pauliprop-bench", "--ns", "4", "--sine-cutoff", "-1"],
+    ["pauliprop-bench", "--ns", "8", "--trials", "1", "--exact", "--max-terms", "4"],
     ["graph-stats", "--ns", "20", "--p", "2"],
     ["graph-stats", "--ns", "20", "--p", "-0.5"],
     ["features", "--circuit", "CIRCUIT", "--tau2", "-1"],
@@ -285,9 +313,15 @@ def features_circuit(tmp_path, name):
     ["features", "--circuit", "NEGATIVE_TAU2"],
     ["features", "--circuit", "TEXT_TAU2"],
     ["features", "--circuit", "NO_TAU2"],
+    ["shadows", "--circuit", "CIRCUIT", "--shots", "-5"],
+    ["shadows", "--circuit", "CIRCUIT", "--shots", "0"],
+    ["shadows", "--circuit", "N25"],
+    ["features", "--circuit", "N25", "--backend", "statevector"],
+    ["features", "--circuit", "N33", "--backend", "propagation"],
+    ["features", "--circuit", "CIRCUIT", "--observables", "ZQZ"],
 ], ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
 def test_bad_sizes_exit_2_before_work(tmp_path, capsys, argv):
-    if argv[0] == "features":
+    if argv[0] in ("features", "shadows"):
         argv = [features_circuit(tmp_path, a) if a in FEATURES_MANIFESTS else a for a in argv]
         capsys.readouterr()
     out = tmp_path / "out"
@@ -295,3 +329,25 @@ def test_bad_sizes_exit_2_before_work(tmp_path, capsys, argv):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_features_propagation_term_bound_exit_2(tmp_path, capsys, monkeypatch):
+    circ = features_circuit(tmp_path, "CIRCUIT")
+    out = tmp_path / "f.csv"
+    monkeypatch.setattr(cli, "FEATURES_MAX_TERMS", 2)
+    capsys.readouterr()
+    assert run_cli("features", "--circuit", circ, "--backend", "propagation",
+                   "--out", str(out), "--quiet") == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: sample 0: exact mode exceeded max_terms=2")
+    assert err.count("\n") == 1
+
+
+def test_features_propagation_runs_past_statevector_cap(tmp_path):
+    circ = features_circuit(tmp_path, "N25")
+    out = tmp_path / "f.csv"
+    assert run_cli("features", "--circuit", circ, "--backend", "propagation",
+                   "--samples", "1", "--observables", "Z" + "I" * 24,
+                   "--out", str(out), "--quiet") == 0
+    assert len(read_csv(str(out))) == 1

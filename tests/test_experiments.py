@@ -154,7 +154,7 @@ def test_run_experiment_unwritable(tmp_path):
     target = tmp_path / "file"
     target.write_text("x")
     with pytest.raises(ConfigError) as err:
-        run_experiment(cfg(trials=1), str(target / "sub"))
+        run_experiment(cfg(trials=2), str(target / "sub"))
     assert err.value.code == "unwritable-output"
 
 

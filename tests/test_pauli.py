@@ -14,12 +14,20 @@ from hypothesis import strategies as st
 
 from qgenbench.circuits import Circuit, Gate, ROTATION_KINDS
 from qgenbench.pauli import PauliDimensionError, PauliString, PauliSum, PauliTerm
-from qgenbench.propagation import (PropagationReport, TruncationPolicy, _PHASE_EXP,
-                                   _TermArrays, _apply_cz, _apply_rotation, _merge,
-                                   _truncate, propagate)
+from qgenbench.propagation import (PropagationReport, TruncationPolicy, _TermArrays,
+                                   _apply_cz, _apply_rotation, _merge, _truncate,
+                                   propagate)
 from qgenbench.statevector import dense_pauli_matrix
 
 LETTERS = "IXYZ"
+
+# exponent k of the phase i**k in the single-qubit product a*b, indexed
+# [a_letter][b_letter] with I=0 X=1 Y=2 Z=3: cyclic X->Y->Z->X gives +i (k=1),
+# anti-cyclic gives -i (k=3), and products with I or a repeated letter are real
+PHASE_EXP = np.array([[0, 0, 0, 0],
+                      [0, 0, 1, 3],
+                      [0, 3, 0, 1],
+                      [0, 1, 3, 0]], dtype=np.int64)
 
 
 def rand_string(rng, n):
@@ -91,13 +99,13 @@ def cz_unitary(n, a, b):
 
 def test_multiply_xz():
     x, z, y = (dense_pauli_matrix(PauliString.from_label(l)) for l in "XZY")
-    assert _PHASE_EXP[1, 3] == 3  # XZ = -iY
+    assert PHASE_EXP[1, 3] == 3  # XZ = -iY
     assert np.allclose(x @ z, -1j * y)
 
 
 def test_multiply_identity():
-    assert not _PHASE_EXP[0].any() and not _PHASE_EXP[:, 0].any()
-    assert not np.diag(_PHASE_EXP).any()
+    assert not PHASE_EXP[0].any() and not PHASE_EXP[:, 0].any()
+    assert not np.diag(PHASE_EXP).any()
 
 
 def test_multiply_matches_dense():
@@ -106,7 +114,7 @@ def test_multiply_matches_dense():
             pa, pb = PauliString.from_label(LETTERS[a]), PauliString.from_label(LETTERS[b])
             product = PauliString(1, pa.x ^ pb.x, pa.z ^ pb.z)
             assert np.allclose(dense_pauli_matrix(pa) @ dense_pauli_matrix(pb),
-                               1j ** int(_PHASE_EXP[a, b]) * dense_pauli_matrix(product))
+                               1j ** int(PHASE_EXP[a, b]) * dense_pauli_matrix(product))
 
 
 def test_sum_add_dimension_mismatch():

@@ -9,11 +9,13 @@ from qgenbench.circuits import (BRICK_PARAMS, BrickLayer, Circuit, CZLayer, Gene
                                 RotationLayer, build_generative, build_trainable,
                                 concatenate, default_depth)
 from qgenbench.pauli import COEFF_EPS, PauliString, PauliSum, PauliTerm
-from qgenbench.propagation import (_PHASE_EXP, PropagationReport, ResourceLimitError,
+from qgenbench.propagation import (PropagationReport, ResourceLimitError,
                                    TruncationPolicy, benchmark_propagation,
                                    propagate, sine_cutoff_default)
 from qgenbench.seeding import derive_seed
 from qgenbench import statevector as sv
+
+from test_pauli import PHASE_EXP  # single-qubit product phases, checked there
 
 EXACT = TruncationPolicy.exact_mode()
 
@@ -267,7 +269,7 @@ def _ref_rotation(t, gen, angle):
     for q in range(gen.n):
         gl = gen.letter_index(q)
         if gl:
-            k += _PHASE_EXP[gl, _ref_letters(ax, az, q)]
+            k += PHASE_EXP[gl, _ref_letters(ax, az, q)]
     sign = np.where(k % 4 == 0, 1.0, -1.0)
     return _ref_merge(_RefTerms(np.concatenate([t.x[~anti], ax, ax ^ gx]),
                                 np.concatenate([t.z[~anti], az, az ^ gz]),

@@ -5,9 +5,61 @@ import pytest
 
 from qgenbench.circuits import GenerativeSpec, build_generative
 from qgenbench.pauli import PauliString, PauliSum, PauliTerm
-from qgenbench.shadows import (ShadowSet, collect_shadows, estimate_pauli,
-                               estimate_rdm, shadows_to_csv, single_shot_values)
+from qgenbench.seeding import rng_for
+from qgenbench.shadows import (_BASIS_ROT, ShadowSet, _sample_bitstrings, collect_shadows,
+                               estimate_pauli, estimate_rdm, shadows_to_csv,
+                               single_shot_values)
 from qgenbench import statevector as sv
+
+# The two-path sampler below enumerated basis combinations while 3**n was at
+# most this, and rotated one state copy per shot above it.
+REFERENCE_ENUMERATE_LIMIT = 20000
+
+
+def reference_collect(state, num_samples, seed):
+    """Two-path sampler (per-combination enumeration, per-shot fallback),
+    kept to pin the grouped sampler bitwise; returns (bases, outcomes)."""
+    rng = rng_for(seed)
+    n = state.n
+    bases = rng.integers(0, 3, size=(num_samples, n), dtype=np.int8)
+    outcomes = np.empty((num_samples, n), dtype=np.int8)
+    if num_samples == 0:
+        return bases, outcomes
+    u = rng.random(num_samples)
+    bits = np.empty(num_samples, dtype=np.int64)
+    if 3**n <= REFERENCE_ENUMERATE_LIMIT:
+        combo = np.zeros(num_samples, dtype=np.int64)
+        for q in range(n):
+            combo = combo * 3 + bases[:, q]
+        for cid in np.unique(combo):
+            letters = []
+            rest = int(cid)
+            for _ in range(n):
+                letters.append(rest % 3)
+                rest //= 3
+            letters = letters[::-1]  # letters[q] = basis at qubit q
+            amps = state.amplitudes.copy()
+            for q in range(n):
+                if letters[q] != 2:
+                    sv.apply_1q_inplace(amps, n, q, _BASIS_ROT[letters[q]])
+            sel = combo == cid
+            bits[sel] = _sample_bitstrings(np.abs(amps) ** 2, u[sel])
+    else:
+        for i in range(num_samples):
+            amps = state.amplitudes.copy()
+            for q in range(n):
+                if bases[i, q] != 2:
+                    sv.apply_1q_inplace(amps, n, q, _BASIS_ROT[bases[i, q]])
+            bits[i] = _sample_bitstrings(np.abs(amps) ** 2, u[i:i + 1])[0]
+    for q in range(n):
+        outcomes[:, q] = 1 - 2 * ((bits >> q) & 1)
+    return bases, outcomes
+
+
+def random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return sv.StateVector(n, amps / np.linalg.norm(amps))
 
 
 def bell_state():
@@ -31,13 +83,27 @@ def test_deterministic():
     np.testing.assert_array_equal(a.outcomes, b.outcomes)
 
 
-@pytest.mark.parametrize("n, shots", [(3, 300), (10, 40)])  # enumerated, per-shot
+@pytest.mark.parametrize("n, shots", [(3, 300), (10, 40)])  # both sides of the old switch
 def test_collect_leaves_state_untouched(n, shots):
-    assert (3**n <= 20000) == (n == 3)
+    assert (3**n <= REFERENCE_ENUMERATE_LIMIT) == (n == 3)
     state = sv.run(build_generative(GenerativeSpec(n, 2, 0.4, 0.2, 8)))
     before = state.amplitudes.copy()
     collect_shadows(state, shots, seed=9)
     assert state.amplitudes.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("n", range(12))
+def test_collect_matches_two_path_reference_bitwise(n):
+    """One grouped path for every n: the bytes of both branches it replaced."""
+    state = random_state(n, 100 + n)
+    for shots in (0, 1, 7, 300):
+        for seed in (0, 1, 2):
+            bases, outcomes = reference_collect(state, shots, seed)
+            got = collect_shadows(state, shots, seed)
+            assert got.bases.dtype == bases.dtype and got.outcomes.dtype == outcomes.dtype
+            assert got.bases.shape == bases.shape and got.outcomes.shape == outcomes.shape
+            assert got.bases.tobytes() == bases.tobytes()
+            assert got.outcomes.tobytes() == outcomes.tobytes()
 
 
 def test_bases_uniform():
