@@ -299,16 +299,6 @@ def concatenate(first: Circuit, second: Circuit) -> Circuit:
     return Circuit(first.n, first.layers + second.layers, second.theta)
 
 
-def brick_lightcone(n: int, depth: int, support: Set[int]) -> Set[int]:
-    """Backward light cone of an observable through `depth` brick layers."""
-    cone = set(support)
-    for l in range(depth - 1, -1, -1):
-        for a, b in brick_pairs(n, l):
-            if a in cone or b in cone:
-                cone.update((a, b))
-    return cone
-
-
 def backward_lightcone(circuit: Circuit, support: Set[int]) -> Tuple[List[Set[int]], Set[int]]:
     """Grow the support backwards through the layers (last layer first).
 

@@ -24,7 +24,7 @@ from .experiments import (CSV_COLUMNS, ConfigError, ExperimentConfig, read_csv,
                           run_experiment, write_csv)
 from .pauli import PauliString, PauliSum, PauliTerm
 from .propagation import (MAX_PROP_QUBITS, ResourceLimitError, TruncationPolicy,
-                          benchmark_propagation, propagate)
+                          benchmark_propagation, propagate, sine_cutoff_default)
 from .graphs import treewidth_trend
 from .seeding import derive_seed, rng_for
 from .shadows import collect_shadows, shadows_to_csv
@@ -298,16 +298,19 @@ def cmd_pauliprop_bench(args) -> int:
     _check_size("--max-terms", args.max_terms, 1)
     _check_size("--sine-cutoff", args.sine_cutoff, 0)
     _check_p(args.p)
-    if args.exact:
-        policy: Optional[TruncationPolicy] = TruncationPolicy.exact_mode(args.max_terms)
-    elif args.sine_cutoff is not None:
-        policy = TruncationPolicy(sine_cutoff=args.sine_cutoff, max_terms=args.max_terms)
-    else:
-        policy = None  # per-n default cutoff ceil(log2 n)
+    # one policy per n, all built before any work starts
+    default_cutoff = args.sine_cutoff is None and not args.exact
     try:
-        rows = benchmark_propagation(ns, policy, args.trials, args.seed,
-                                     layers=args.layers, p=args.p,
-                                     trainable_depth=args.trainable_depth)
+        policies = [TruncationPolicy(sine_cutoff=sine_cutoff_default(n) if default_cutoff
+                                     else args.sine_cutoff,
+                                     max_terms=args.max_terms, exact=args.exact) for n in ns]
+    except ValueError as exc:  # --exact with --sine-cutoff
+        raise CliError(str(exc))
+    try:
+        rows = [row for n, policy in zip(ns, policies)
+                for row in benchmark_propagation([n], policy, args.trials, args.seed,
+                                                 layers=args.layers, p=args.p,
+                                                 trainable_depth=args.trainable_depth)]
     except ResourceLimitError as exc:
         raise CliError(str(exc))
     write_csv(args.out, rows, CSV_COLUMNS["pauliprop"])
@@ -383,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--out", required=True)
-    add_common(p)
+    p.add_argument("--quiet", action="store_true")  # plot draws no random numbers
     p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("pauliprop-bench", help="propagation scaling benchmark")

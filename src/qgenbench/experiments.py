@@ -34,8 +34,19 @@ try:
 except Exception:  # pragma: no cover - not installed
     VERSION = "0.1.0+local"
 
-EXPERIMENT_IDS = ("subvolume", "gradvar", "lightcone", "pauliprop", "treewidth")
-_TAU2_EXPERIMENTS = ("subvolume", "gradvar", "lightcone")  # read resolved_tau2
+# The optional config fields each experiment reads, besides experiment, ns,
+# trials and seed, which all of them read.  Any other field must keep its default.
+READ_FIELDS = {
+    "subvolume": ("layers", "p", "tau2", "tau2_preset", "subsystem", "sigma"),
+    "gradvar": ("layers", "p", "tau2", "tau2_preset", "sigma", "trainable_depth",
+                "shift_param"),
+    "lightcone": ("layers", "p", "tau2", "tau2_preset", "subsystem", "sigma"),
+    "pauliprop": ("layers", "p", "tau2", "trainable_depth", "sine_cutoff"),
+    "treewidth": ("layers", "p"),
+}
+EXPERIMENT_IDS = tuple(READ_FIELDS)
+_TAU2_EXPERIMENTS = tuple(e for e, read in READ_FIELDS.items() if "tau2_preset" in read)
+_OPTIONAL_FIELDS = tuple(dict.fromkeys(f for read in READ_FIELDS.values() for f in read))
 
 
 class ConfigError(ValueError):
@@ -76,6 +87,11 @@ class ExperimentConfig:
                                             f"[qubit, letter] pairs: {exc}") from exc
         if not all(l in ("X", "Y", "Z") for _, l in self.sigma):
             raise ConfigError("bad-config", f"sigma letters must be X, Y or Z: {self.sigma}")
+        unread = [f for f in _OPTIONAL_FIELDS if f not in READ_FIELDS[self.experiment]
+                  and getattr(self, f) != self.__dataclass_fields__[f].default]
+        if unread:
+            raise ConfigError("bad-config", f"{self.experiment} does not read "
+                                            f"{', '.join(unread)}; leave it out")
         # subvolume and gradvar report ddof=1 spreads, which need two trials
         self.trials = _integer("trials", self.trials,
                                2 if self.experiment in ("subvolume", "gradvar") else 1)

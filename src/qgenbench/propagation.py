@@ -51,10 +51,14 @@ class TruncationPolicy:
     exact: bool = False
 
     def __post_init__(self):
-        criteria = (self.sine_cutoff, self.coeff_threshold, self.weight_cutoff,
-                    self.max_terms)
-        if not self.exact and all(c is None for c in criteria):
+        lossy = [name for name in ("sine_cutoff", "coeff_threshold", "weight_cutoff")
+                 if getattr(self, name) is not None]
+        if self.exact and lossy:
+            raise ValueError(f"exact mode keeps every term; it takes no {', '.join(lossy)}")
+        if not self.exact and not lossy and self.max_terms is None:
             raise ValueError("set at least one truncation criterion or exact=True")
+        if any(p.dynamic_schedule for p in (self.dynamic_schedule or {}).values()):
+            raise ValueError("a dynamic_schedule entry cannot have a schedule of its own")
 
     @classmethod
     def exact_mode(cls, max_terms: Optional[int] = None) -> "TruncationPolicy":
@@ -249,9 +253,8 @@ def sine_cutoff_default(n: int) -> int:
 def benchmark_propagation(ns, policy: Optional[TruncationPolicy], trials: int, seed: int, *,
                           layers: Optional[int] = None, p: Optional[float] = None,
                           tau2: Optional[float] = None, trainable_depth: int = 0,
-                          observable_qubit: int = 0,
                           exact_check_max_n: int = 12) -> List[dict]:
-    """Propagation scaling study over system sizes.
+    """Propagation scaling study of Z_0 over system sizes.
 
     Defaults per n: layers = ceil(ln n), p = ln(n)/n, tau2 just under 1/4,
     and (when `policy` is None) a sine cutoff of ceil(log2 n).  For
@@ -268,7 +271,7 @@ def benchmark_propagation(ns, policy: Optional[TruncationPolicy], trials: int, s
         L = layers if layers is not None else default_layers(n)
         pn = p if p is not None else default_p(n)
         t2 = tau2 if tau2 is not None else TAU2_CONSTANT
-        obs = PauliSum(n, [PauliTerm(1.0, PauliString.single(n, observable_qubit, "Z"))])
+        obs = PauliSum(n, [PauliTerm(1.0, PauliString.single(n, 0, "Z"))])
         for trial in range(trials):
             spec = GenerativeSpec(n, L, pn, t2, derive_seed(seed, n, trial, 0))
             circ = build_generative(spec)
@@ -295,7 +298,7 @@ def benchmark_propagation(ns, policy: Optional[TruncationPolicy], trials: int, s
 
 def _policy_id(policy: TruncationPolicy) -> str:
     if policy.exact:
-        return "exact"
+        return "exact-dyn" if policy.dynamic_schedule else "exact"
     parts = []
     if policy.sine_cutoff is not None:
         parts.append(f"sine{policy.sine_cutoff}")

@@ -6,7 +6,7 @@ import pytest
 
 from qgenbench.circuits import (BRICK_PARAMS, BrickLayer, Circuit, CZLayer,
                                 GenerativeSpec, RotationLayer, backward_lightcone,
-                                brick_lightcone, brick_pairs, build_generative,
+                                brick_pairs, build_generative,
                                 build_trainable, circuit_from_json, circuit_to_json,
                                 concatenate, default_depth, resolve_tau2,
                                 sample_er_graph, LayerGraph)
@@ -154,9 +154,14 @@ def test_circuit_rejects_non_finite_theta():
         build_trainable(2, 1, init="zeros").with_theta(np.full(15, np.inf))
 
 
+def brick_cone(n, depth, support):
+    """Backward light cone of `support` through `depth` brick layers."""
+    return backward_lightcone(build_trainable(n, depth), support)[1]
+
+
 def test_brick_lightcone_trivial():
-    assert brick_lightcone(8, 0, {3}) == {3}
-    assert brick_lightcone(8, 1, {5}) == {4, 5}  # layer 0 pairs start at qubit 0
+    assert brick_cone(8, 0, {3}) == {3}
+    assert brick_cone(8, 1, {5}) == {4, 5}  # layer 0 pairs start at qubit 0
 
 
 def test_brick_lightcone_matches_gate_scan():
@@ -165,7 +170,7 @@ def test_brick_lightcone_matches_gate_scan():
         n = int(rng.integers(4, 12))
         d = int(rng.integers(0, 5))
         support = set(int(q) for q in rng.choice(n, size=rng.integers(1, 3), replace=False))
-        cone = brick_lightcone(n, d, support)
+        cone = brick_cone(n, d, support)
         # oracle: scan bricks layer by layer from the last
         expected = set(support)
         for l in range(d - 1, -1, -1):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,8 @@ import pytest
 from qgenbench.circuits import circuit_from_json
 from qgenbench import cli
 from qgenbench.cli import main
-from qgenbench.experiments import read_csv
+from qgenbench.experiments import CSV_COLUMNS, ExperimentConfig, read_csv, write_csv
+from qgenbench.propagation import benchmark_propagation
 
 
 def run_cli(*argv):
@@ -127,6 +129,38 @@ def test_experiment_bad_config(tmp_path):
                    "--out-dir", str(tmp_path / "o"), "--quiet") == 2
 
 
+# A valid config of each experiment, and one field per case that the
+# experiment does not read, set to a value other than its default.
+UNREAD_BASES = {"subvolume": {"ns": [4], "trials": 2}, "gradvar": {"ns": [4], "trials": 2},
+                "lightcone": {"ns": [20], "trials": 1}, "pauliprop": {"ns": [4], "trials": 1},
+                "treewidth": {"ns": [20], "trials": 1}}
+UNREAD_FIELDS = [
+    ("subvolume", "trainable_depth", 1), ("subvolume", "shift_param", 0),
+    ("subvolume", "sine_cutoff", 3),
+    ("gradvar", "subsystem", [1]), ("gradvar", "sine_cutoff", 3),
+    ("lightcone", "trainable_depth", 1), ("lightcone", "shift_param", 0),
+    ("lightcone", "sine_cutoff", 3),
+    ("pauliprop", "tau2_preset", "constant"), ("pauliprop", "subsystem", [1]),
+    ("pauliprop", "sigma", [[0, "X"]]), ("pauliprop", "shift_param", 3),
+    ("treewidth", "tau2", 0.1), ("treewidth", "tau2_preset", "constant"),
+    ("treewidth", "subsystem", [1]), ("treewidth", "sigma", [[0, "X"]]),
+    ("treewidth", "trainable_depth", 1), ("treewidth", "shift_param", 0),
+    ("treewidth", "sine_cutoff", 3),
+]
+
+
+@pytest.mark.parametrize("experiment", sorted(UNREAD_BASES))
+def test_unread_fields_at_default_accepted(tmp_path, experiment):
+    # every optional field written out at its default, read or not
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)
+                if f.name not in ("experiment", "ns", "trials", "seed")}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"experiment": experiment, **UNREAD_BASES[experiment],
+                                  **defaults}))
+    assert run_cli("experiment", "--config", str(config), "--out-dir", str(tmp_path / "o"),
+                   "--quiet") == 0
+
+
 @pytest.mark.parametrize("obj", [
     {"experiment": "pauliprop", "ns": [33], "trials": 1},
     {"experiment": "pauliprop", "ns": [4, 40], "trials": 1},
@@ -151,13 +185,15 @@ def test_experiment_bad_config(tmp_path):
     {"experiment": "subvolume", "ns": [4], "sigma": [[0, "Q"]], "trials": 2},
     {"experiment": "subvolume", "ns": [4], "sigma": ["Z0"], "trials": 2},
     {"experiment": "lightcone", "ns": [20], "subsystem": 0, "trials": 1},
-], ids=["pauliprop_ns_33", "pauliprop_ns_4_40", "treewidth_p_2", "lightcone_tau2_0",
+] + [{"experiment": e, **UNREAD_BASES[e], f: v} for e, f, v in UNREAD_FIELDS],
+   ids=["pauliprop_ns_33", "pauliprop_ns_4_40", "treewidth_p_2", "lightcone_tau2_0",
         "subvolume_theorem_n_1", "lightcone_unknown_preset", "treewidth_ns_0",
         "treewidth_layers_0", "ns_text", "trials_text", "gradvar_trainable_depth_-1",
         "gradvar_shift_param_999", "pauliprop_layers_-2", "gradvar_trials_1",
         "subvolume_trials_1", "gradvar_n_1_no_bricks", "seed_-1", "p_text",
         "pauliprop_sine_cutoff_-1", "subsystem_text", "sigma_letter_Q",
-        "sigma_not_pairs", "subsystem_not_list"])
+        "sigma_not_pairs", "subsystem_not_list"]
+   + [f"{e}_unread_{f}" for e, f, _ in UNREAD_FIELDS])
 def test_experiment_rejected_config_exit_2(tmp_path, capsys, obj):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(obj))
@@ -200,6 +236,26 @@ def test_pauliprop_bench_command(tmp_path):
     rows = read_csv(out)
     assert len(rows) == 4
     assert all(float(r["error_vs_exact"]) < 1e-9 for r in rows)
+
+
+def test_pauliprop_bench_max_terms_alone_caps(tmp_path):
+    out = str(tmp_path / "bench.csv")
+    assert run_cli("pauliprop-bench", "--ns", "8,12", "--trials", "2", "--max-terms", "8",
+                   "--out", out, "--quiet") == 0
+    rows = read_csv(out)
+    assert [r["policy_id"] for r in rows] == ["sine3-max8"] * 2 + ["sine4-max8"] * 2
+    assert all(int(r["peak_terms"]) <= 8 for r in rows)
+
+
+def test_pauliprop_bench_default_policy_matches_driver(tmp_path):
+    # without a policy flag each n gets the driver's default sine cutoff
+    out = str(tmp_path / "bench.csv")
+    assert run_cli("pauliprop-bench", "--ns", "8,12,8", "--trials", "2", "--seed", "3",
+                   "--out", out, "--quiet") == 0
+    want = str(tmp_path / "want.csv")
+    write_csv(want, benchmark_propagation([8, 12, 8], None, 2, 3), CSV_COLUMNS["pauliprop"])
+    masked = [{**r, "wall_time_s": None} for r in read_csv(out)]
+    assert masked == [{**r, "wall_time_s": None} for r in read_csv(want)]
 
 
 def test_pauliprop_bad_ns(tmp_path):
@@ -254,6 +310,20 @@ def test_determinism_across_threads(tmp_path):
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
+def test_plot_seed_flag_rejected(tmp_path, capsys):
+    data = tmp_path / "g.csv"
+    data.write_text("n,w\n1,2\n2,3\n")
+    out = tmp_path / "p.svg"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("plot", "--csv", str(data), "--x", "n", "--y", "w", "--seed", "1",
+                "--out", str(out), "--quiet")
+    assert exc.value.code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert [l for l in err if "error:" in l] == [
+        "qgenbench: error: unrecognized arguments: --seed 1"]
+
+
 def test_threads_flag_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("graph-stats", "--ns", "15", "--threads", "2",
@@ -302,6 +372,8 @@ def features_circuit(tmp_path, name):
     ["pauliprop-bench", "--ns", "4", "--exact", "--max-terms", "0"],
     ["pauliprop-bench", "--ns", "4", "--sine-cutoff", "-1"],
     ["pauliprop-bench", "--ns", "8", "--trials", "1", "--exact", "--max-terms", "4"],
+    ["pauliprop-bench", "--ns", "4", "--exact", "--sine-cutoff", "1"],
+    ["pauliprop-bench", "--ns", "4", "--exact", "--sine-cutoff", "0"],
     ["graph-stats", "--ns", "20", "--p", "2"],
     ["graph-stats", "--ns", "20", "--p", "-0.5"],
     ["features", "--circuit", "CIRCUIT", "--tau2", "-1"],

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from qgenbench.circuits import build_trainable
-from qgenbench.experiments import (ConfigError, ExperimentConfig,
+from qgenbench.experiments import (EXPERIMENT_IDS, READ_FIELDS, ConfigError, ExperimentConfig,
                                    default_shift_param,
                                    gradient_variance_experiment,
                                    lightcone_spread_experiment, read_csv,
@@ -37,6 +38,15 @@ def test_config_validation():
         cfg(trials=0)
     with pytest.raises(ConfigError):
         cfg(ns=(4,), sigma=((7, "Z"),))
+
+
+def test_read_fields_table_matches_config():
+    # a config field cannot land without saying which experiments read it
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    read = {name for fields in READ_FIELDS.values() for name in fields}
+    assert read <= names
+    assert names - {"experiment", "ns", "trials", "seed"} <= read
+    assert EXPERIMENT_IDS == tuple(READ_FIELDS)
 
 
 def test_config_json_round_trip():

@@ -139,6 +139,34 @@ def test_policy_requires_criterion():
         TruncationPolicy()
 
 
+@pytest.mark.parametrize("criterion", [{"sine_cutoff": 0}, {"coeff_threshold": 0.1},
+                                       {"weight_cutoff": 2}])
+def test_exact_policy_rejects_lossy_criteria(criterion):
+    # exact mode would keep every term and ignore the criterion
+    with pytest.raises(ValueError, match="exact mode"):
+        TruncationPolicy(exact=True, **criterion)
+    with pytest.raises(ValueError, match="exact mode"):
+        TruncationPolicy(exact=True, max_terms=64, **criterion)
+
+
+def test_policy_rejects_nested_schedule():
+    # at_step would never consult the inner schedule
+    inner = TruncationPolicy(sine_cutoff=2, dynamic_schedule={3: TruncationPolicy(sine_cutoff=0)})
+    with pytest.raises(ValueError, match="schedule"):
+        TruncationPolicy(sine_cutoff=1, dynamic_schedule={5: inner})
+    with pytest.raises(ValueError, match="schedule"):
+        TruncationPolicy(exact=True, dynamic_schedule={0: inner})
+
+
+def test_policy_id_marks_schedule_after_exact():
+    later = TruncationPolicy(sine_cutoff=1)
+    ids = [benchmark_propagation([4], pol, 1, 0, layers=1)[0]["policy_id"]
+           for pol in (TruncationPolicy(exact=True, dynamic_schedule={5: later}),
+                       TruncationPolicy.exact_mode(),
+                       TruncationPolicy(sine_cutoff=2, dynamic_schedule={5: later}))]
+    assert ids == ["exact-dyn", "exact", "sine2-dyn"]
+
+
 def test_zero_angle_circuit_exact_despite_cutoff():
     spec = GenerativeSpec(6, 2, 0.4, 1e-18, 5)
     circ = build_generative(spec)
