@@ -20,23 +20,19 @@ from . import __version__
 from .circuits import (Circuit, GenerativeSpec, RotationLayer, build_generative,
                        build_trainable, circuit_from_json, circuit_to_json,
                        concatenate, default_p, resolve_tau2)
-from .experiments import (CSV_COLUMNS, ConfigError, ExperimentConfig, read_csv,
-                          run_experiment, write_csv)
+from .experiments import (CSV_COLUMNS, ConfigError, ExperimentConfig, check_p, check_qubits,
+                          check_size, check_tau2, read_csv, run_experiment, write_csv)
 from .pauli import PauliString, PauliSum, PauliTerm
-from .propagation import (MAX_PROP_QUBITS, ResourceLimitError, TruncationPolicy,
-                          benchmark_propagation, propagate, sine_cutoff_default)
+from .propagation import (ResourceLimitError, TruncationPolicy, benchmark_propagation,
+                          propagate, sine_cutoff_default)
 from .graphs import treewidth_trend
 from .seeding import derive_seed, rng_for
 from .shadows import collect_shadows, shadows_to_csv
-from .statevector import MAX_SV_QUBITS, expectation, run
+from .statevector import expectation, run
 
 # Term bound of the exact propagation behind `features --backend propagation`:
 # 2**20 terms are 24 MiB of term arrays, a few times that while merging.
 FEATURES_MAX_TERMS = 2**20
-
-
-class CliError(Exception):
-    """User-facing failure; maps to exit code 2."""
 
 
 def _info(args, message: str) -> None:
@@ -58,25 +54,6 @@ def resample_generative_angles(circuit: Circuit, tau2: float, seed: int) -> Circ
     return Circuit(circuit.n, tuple(layers), circuit.theta)
 
 
-def _check_size(name: str, value: Optional[int], least: int) -> None:
-    """Reject a size below `least` before any work starts (None = default)."""
-    if value is not None and value < least:
-        raise CliError(f"{name} must be at least {least}, got {value}")
-
-
-def _check_p(p: Optional[float]) -> None:
-    """Reject an edge probability outside [0, 1] (None = default ln(n)/n)."""
-    if p is not None and not 0.0 <= p <= 1.0:  # also rejects NaN
-        raise CliError(f"--p must lie in [0, 1], got {p}")
-
-
-def _check_qubits(circuit: Circuit, backend: str) -> None:
-    """Reject a circuit wider than the engine `backend` simulates."""
-    cap = MAX_SV_QUBITS if backend == "statevector" else MAX_PROP_QUBITS
-    if circuit.n > cap:
-        raise CliError(f"the {backend} engine caps at {cap} qubits, got n={circuit.n}")
-
-
 def _default_observables(n: int) -> List[PauliString]:
     obs = [PauliString.single(n, q, "Z") for q in range(n)]
     for q in range(n - 1):
@@ -93,30 +70,23 @@ def _parse_observables(text: Optional[str], n: int) -> List[PauliString]:
     for label in text.split(","):
         label = label.strip()
         if len(label) != n:
-            raise CliError(f"observable {label!r} must have exactly {n} letters")
+            raise ConfigError(f"observable {label!r} must have exactly {n} letters")
         try:
             out.append(PauliString.from_label(label))
         except ValueError as exc:
-            raise CliError(f"observable {label!r}: {exc}")
+            raise ConfigError(f"observable {label!r}: {exc}")
     return out
 
 
 def cmd_gen(args) -> int:
-    _check_size("--n", args.n, 1)
-    _check_size("--layers", args.layers, 0)
-    _check_size("--trainable-depth", args.trainable_depth, 0)
-    _check_p(args.p)
+    check_size("--n", args.n, 1)
+    check_size("--layers", args.layers, 0)
+    check_size("--trainable-depth", args.trainable_depth, 0)
+    check_p("--p", args.p)
     layers = args.layers
     p = args.p if args.p is not None else default_p(args.n)
-    if args.tau2 is not None:
-        tau2 = args.tau2
-        if not tau2 > 0:
-            raise CliError(f"--tau2 must be positive, got {tau2}")
-    else:
-        tau2 = resolve_tau2(args.tau2_preset, args.n, layers)
-        if not tau2 > 0:
-            raise CliError(f"--tau2-preset {args.tau2_preset} gives tau2 = {tau2} at "
-                           f"n={args.n}; pass --tau2")
+    tau2 = args.tau2 if args.tau2 is not None else resolve_tau2(args.tau2_preset, args.n, layers)
+    check_tau2("--tau2" if args.tau2 is not None else f"--tau2-preset {args.tau2_preset}", tau2)
     spec = GenerativeSpec(args.n, layers, p, tau2, args.seed)
     circuit = build_generative(spec)
     if args.trainable_depth:
@@ -143,34 +113,33 @@ def _load_circuit(path: str) -> Circuit:
         with open(path) as fh:
             return circuit_from_json(fh.read())
     except FileNotFoundError:
-        raise CliError(f"circuit file not found: {path}")
+        raise ConfigError(f"circuit file not found: {path}")
     except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"malformed circuit file {path}: {exc}")
+        raise ConfigError(f"malformed circuit file {path}: {exc}")
 
 
 def _circuit_tau2(args) -> float:
-    """--tau2, else the tau2 of the circuit's manifest; positive and finite."""
+    """--tau2, else the tau2 of the circuit's manifest; in (0, 1/4)."""
     if args.tau2 is not None:
         tau2, source = args.tau2, "--tau2"
     else:
         source = args.circuit + ".manifest.json"
         if not os.path.exists(source):
-            raise CliError("pass --tau2 or keep the circuit's .manifest.json beside it")
+            raise ConfigError("pass --tau2 or keep the circuit's .manifest.json beside it")
         try:
             with open(source) as fh:
                 tau2 = json.load(fh)["tau2"]
         except (ValueError, KeyError, TypeError) as exc:
-            raise CliError(f"malformed manifest {source}: {exc!r}")
+            raise ConfigError(f"malformed manifest {source}: {exc!r}")
         source = f"tau2 in {source}"
-    if type(tau2) not in (int, float) or not 0 < tau2 < math.inf:  # also rejects NaN, bools
-        raise CliError(f"{source} must be positive and finite, got {tau2!r}")
+    check_tau2(source, tau2)
     return tau2
 
 
 def cmd_features(args) -> int:
-    _check_size("--samples", args.samples, 1)
+    check_size("--samples", args.samples, 1)
     circuit = _load_circuit(args.circuit)
-    _check_qubits(circuit, args.backend)
+    check_qubits(circuit.n, args.backend)
     n = circuit.n
     observables = _parse_observables(args.observables, n)
     tau2 = _circuit_tau2(args)
@@ -186,7 +155,7 @@ def cmd_features(args) -> int:
                 feats = [propagate(sampled, PauliSum(n, [PauliTerm(1.0, o)]),
                                    policy).expectation for o in observables]
             except ResourceLimitError as exc:
-                raise CliError(f"sample {i}: {exc}")
+                raise ConfigError(f"sample {i}: {exc}")
         row = {"sample": i}
         row.update({o.label(): f for o, f in zip(observables, feats)})
         rows.append(row)
@@ -201,33 +170,34 @@ def cmd_experiment(args) -> int:
         with open(args.config) as fh:
             obj = json.load(fh)
     except FileNotFoundError:
-        raise CliError(f"config file not found: {args.config}")
+        raise ConfigError(f"config file not found: {args.config}")
     except json.JSONDecodeError as exc:
-        raise CliError(f"config is not valid JSON: {exc}")
-    if args.seed is not None:
+        raise ConfigError(f"config is not valid JSON: {exc}")
+    if args.seed is not None and isinstance(obj, dict):
         obj["seed"] = args.seed
-    try:
-        config = ExperimentConfig.from_json_obj(obj)
-        paths = run_experiment(config, args.out_dir)
-    except ConfigError as exc:
-        raise CliError(f"[{exc.code}] {exc}")
+    paths = run_experiment(ExperimentConfig.from_json_obj(obj), args.out_dir)
     _info(args, f"wrote {paths['csv']} and {paths['manifest']}")
     return 0
 
 
 def cmd_plot(args) -> int:
-    rows = read_csv(args.csv)
+    try:
+        rows = read_csv(args.csv)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {args.csv}: {exc.strerror}")
     if not rows:
-        raise CliError("no rows")
+        raise ConfigError("no rows")
     if args.x not in rows[0] or args.y not in rows[0]:
-        raise CliError(f"columns not found; available: {sorted(rows[0])}")
+        raise ConfigError(f"columns not found; available: {sorted(rows[0])}")
     try:
         points = sorted((float(r[args.x]), float(r[args.y])) for r in rows
                         if r[args.x] != "" and r[args.y] != "")
-    except ValueError:
-        raise CliError(f"columns {args.x!r}/{args.y!r} must be numeric")
+        if not all(math.isfinite(v) for point in points for v in point):
+            raise ValueError
+    except (TypeError, ValueError):  # TypeError: a row shorter than the header
+        raise ConfigError(f"columns {args.x!r}/{args.y!r} must be finite numbers")
     if not points:
-        raise CliError("no numeric points to plot")
+        raise ConfigError("no numeric points to plot")
     svg = _line_chart_svg(points, args.x, args.y)
     with open(args.out, "w") as fh:
         fh.write(svg)
@@ -280,59 +250,52 @@ def _line_chart_svg(points, xlabel: str, ylabel: str,
 
 def _parse_ns(text: str) -> List[int]:
     try:
-        ns = [int(v) for v in text.split(",") if v.strip()]
+        return [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise CliError(f"bad n list {text!r}; expected comma-separated integers")
-    if not ns or min(ns) < 1:
-        raise CliError(f"bad n list {text!r}; expected positive integers")
-    return ns
+        raise ConfigError(f"bad n list {text!r}; expected comma-separated integers")
 
 
 def cmd_pauliprop_bench(args) -> int:
-    ns = _parse_ns(args.ns)
-    if max(ns) > MAX_PROP_QUBITS:
-        raise CliError(f"propagation caps at {MAX_PROP_QUBITS} qubits, got n={max(ns)}")
-    _check_size("--trials", args.trials, 1)
-    _check_size("--layers", args.layers, 0)
-    _check_size("--trainable-depth", args.trainable_depth, 0)
-    _check_size("--max-terms", args.max_terms, 1)
-    _check_size("--sine-cutoff", args.sine_cutoff, 0)
-    _check_p(args.p)
+    config = ExperimentConfig("pauliprop", _parse_ns(args.ns), layers=args.layers, p=args.p,
+                              trainable_depth=args.trainable_depth, trials=args.trials,
+                              seed=args.seed, sine_cutoff=args.sine_cutoff)
+    if args.max_terms is not None:
+        check_size("--max-terms", args.max_terms, 1)
     # one policy per n, all built before any work starts
     default_cutoff = args.sine_cutoff is None and not args.exact
     try:
         policies = [TruncationPolicy(sine_cutoff=sine_cutoff_default(n) if default_cutoff
                                      else args.sine_cutoff,
-                                     max_terms=args.max_terms, exact=args.exact) for n in ns]
+                                     max_terms=args.max_terms, exact=args.exact)
+                    for n in config.ns]
     except ValueError as exc:  # --exact with --sine-cutoff
-        raise CliError(str(exc))
+        raise ConfigError(str(exc))
     try:
-        rows = [row for n, policy in zip(ns, policies)
-                for row in benchmark_propagation([n], policy, args.trials, args.seed,
-                                                 layers=args.layers, p=args.p,
-                                                 trainable_depth=args.trainable_depth)]
+        rows = [row for n, policy in zip(config.ns, policies)
+                for row in benchmark_propagation([n], policy, config.trials, config.seed,
+                                                 layers=config.layers, p=config.p,
+                                                 trainable_depth=config.trainable_depth)]
     except ResourceLimitError as exc:
-        raise CliError(str(exc))
+        raise ConfigError(str(exc))
     write_csv(args.out, rows, CSV_COLUMNS["pauliprop"])
     _info(args, f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
 
 def cmd_graph_stats(args) -> int:
-    ns = _parse_ns(args.ns)
-    _check_size("--trials", args.trials, 1)
-    _check_size("--layers", args.layers, 1)
-    _check_p(args.p)
-    rows = treewidth_trend(ns, args.trials, args.seed, p=args.p, layers=args.layers)
+    config = ExperimentConfig("treewidth", _parse_ns(args.ns), layers=args.layers, p=args.p,
+                              trials=args.trials, seed=args.seed)
+    rows = treewidth_trend(config.ns, config.trials, config.seed, p=config.p,
+                           layers=config.layers)
     write_csv(args.out, rows, CSV_COLUMNS["treewidth"])
     _info(args, f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
 
 def cmd_shadows(args) -> int:
-    _check_size("--shots", args.shots, 1)
+    check_size("--shots", args.shots, 1)
     circuit = _load_circuit(args.circuit)
-    _check_qubits(circuit, "statevector")
+    check_qubits(circuit.n, "statevector")
     state = run(circuit)
     shadows = collect_shadows(state, args.shots, args.seed)
     with open(args.out, "w") as fh:
@@ -425,9 +388,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None:  # None: plot, or experiment's default
+            check_size("--seed", args.seed, 0)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ConfigError as exc:
+        code = f"[{exc.code}] " if exc.code else ""
+        print(f"error: {code}{exc}", file=sys.stderr)
         return 2
 
 

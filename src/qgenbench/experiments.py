@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuits import (BRICK_PARAMS, Circuit, BrickLayer, GenerativeSpec,
+from .circuits import (BRICK_PARAMS, TAU2_CONSTANT, Circuit, BrickLayer, GenerativeSpec,
                        backward_lightcone, brick_pairs, build_generative, build_trainable,
                        concatenate, default_depth, default_layers, default_p, resolve_tau2)
 from .metrics import distinguishability, weak_subvolume_gap
@@ -25,7 +25,7 @@ from .pauli import PauliString, PauliSum, PauliTerm
 from .propagation import MAX_PROP_QUBITS, TruncationPolicy, benchmark_propagation
 from .graphs import treewidth_trend
 from .seeding import derive_seed, rng_for
-from .statevector import (expectation, parameter_shift_gradient,
+from .statevector import (MAX_SV_QUBITS, expectation, parameter_shift_gradient,
                           reduced_density_matrix, run)
 
 try:
@@ -38,9 +38,8 @@ except Exception:  # pragma: no cover - not installed
 # trials and seed, which all of them read.  Any other field must keep its default.
 READ_FIELDS = {
     "subvolume": ("layers", "p", "tau2", "tau2_preset", "subsystem", "sigma"),
-    "gradvar": ("layers", "p", "tau2", "tau2_preset", "sigma", "trainable_depth",
-                "shift_param"),
-    "lightcone": ("layers", "p", "tau2", "tau2_preset", "subsystem", "sigma"),
+    "gradvar": ("layers", "p", "tau2", "tau2_preset", "trainable_depth", "shift_param"),
+    "lightcone": ("layers", "p", "subsystem"),
     "pauliprop": ("layers", "p", "tau2", "trainable_depth", "sine_cutoff"),
     "treewidth": ("layers", "p"),
 }
@@ -50,9 +49,9 @@ _OPTIONAL_FIELDS = tuple(dict.fromkeys(f for read in READ_FIELDS.values() for f 
 
 
 class ConfigError(ValueError):
-    """Config validation failure with a stable error code."""
+    """Rejected input (exit code 2); `code` tags config failures, e.g. "bad-config"."""
 
-    def __init__(self, code: str, message: str):
+    def __init__(self, message: str, code: Optional[str] = None):
         super().__init__(message)
         self.code = code
 
@@ -75,60 +74,58 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_IDS:
-            raise ConfigError("unknown-experiment", f"unknown experiment id {self.experiment!r}")
+            raise ConfigError(f"unknown experiment id {self.experiment!r}", "unknown-experiment")
         if not isinstance(self.ns, (list, tuple)) or not self.ns:
-            raise ConfigError("bad-config", f"ns must be a non-empty list, got {self.ns!r}")
-        self.ns = tuple(_integer("ns", n, 1) for n in self.ns)
+            raise ConfigError(f"ns must be a non-empty list, got {self.ns!r}", "bad-config")
+        self.ns = tuple(check_size("ns", n, 1) for n in self.ns)
         try:
-            self.subsystem = tuple(_integer("subsystem", q, 0) for q in self.subsystem)
-            self.sigma = tuple((_integer("sigma", q, 0), l) for q, l in self.sigma)
+            self.subsystem = tuple(check_size("subsystem", q, 0) for q in self.subsystem)
+            self.sigma = tuple((check_size("sigma", q, 0), l) for q, l in self.sigma)
         except (TypeError, ValueError) as exc:  # ValueError: a pair of the wrong length
-            raise ConfigError("bad-config", f"subsystem must list qubits and sigma "
-                                            f"[qubit, letter] pairs: {exc}") from exc
-        if not all(l in ("X", "Y", "Z") for _, l in self.sigma):
-            raise ConfigError("bad-config", f"sigma letters must be X, Y or Z: {self.sigma}")
+            raise ConfigError(f"subsystem must list qubits and sigma [qubit, letter] pairs: "
+                              f"{exc}", "bad-config") from exc
+        if (not self.sigma or not all(l in ("X", "Y", "Z") for _, l in self.sigma)
+                or len({q for q, _ in self.sigma}) < len(self.sigma)):
+            raise ConfigError(f"sigma must pair one or more distinct qubits with X, Y or Z: "
+                              f"{self.sigma}", "bad-config")
         unread = [f for f in _OPTIONAL_FIELDS if f not in READ_FIELDS[self.experiment]
                   and getattr(self, f) != self.__dataclass_fields__[f].default]
         if unread:
-            raise ConfigError("bad-config", f"{self.experiment} does not read "
-                                            f"{', '.join(unread)}; leave it out")
+            raise ConfigError(f"{self.experiment} does not read {', '.join(unread)}; "
+                              f"leave it out", "bad-config")
         # subvolume and gradvar report ddof=1 spreads, which need two trials
-        self.trials = _integer("trials", self.trials,
-                               2 if self.experiment in ("subvolume", "gradvar") else 1)
-        self.seed = _integer("seed", self.seed, 0)
+        self.trials = check_size("trials", self.trials,
+                                 2 if self.experiment in ("subvolume", "gradvar") else 1)
+        self.seed = check_size("seed", self.seed, 0)
         for name, least in (("layers", 1 if self.experiment == "treewidth" else 0),
                             ("trainable_depth", 0), ("shift_param", 0), ("sine_cutoff", 0)):
             if getattr(self, name) is not None:
-                setattr(self, name, _integer(name, getattr(self, name), least))
+                setattr(self, name, check_size(name, getattr(self, name), least))
+        engine = {"subvolume": "statevector", "gradvar": "statevector",
+                  "pauliprop": "propagation"}.get(self.experiment)
+        if engine:
+            check_qubits(max(self.ns), engine)
         if self.experiment == "gradvar":
             shifted = self.shift_param or 0  # None: a middle parameter, so one must exist
             for n in self.ns:
                 for depth in self.gradvar_depths(n).values():
                     count = BRICK_PARAMS * sum(len(brick_pairs(n, l)) for l in range(depth))
                     if depth and count <= shifted:
-                        raise ConfigError("bad-config", f"gradvar needs trainable parameter "
-                                                        f"{shifted}; n={n} at depth {depth} "
-                                                        f"has {count}")
-        if self.experiment == "pauliprop" and max(self.ns) > MAX_PROP_QUBITS:
-            raise ConfigError("bad-config", f"propagation caps at {MAX_PROP_QUBITS} qubits, "
-                                            f"got n={max(self.ns)}")
-        if self.p is not None and not (_real(self.p) and 0.0 <= self.p <= 1.0):
-            raise ConfigError("bad-config", f"p must lie in [0, 1], got {self.p!r}")
-        if self.tau2 is not None and not (_real(self.tau2) and self.tau2 > 0):
-            raise ConfigError("bad-config", f"tau2 must be positive, got {self.tau2!r}")
+                        raise ConfigError(f"gradvar needs trainable parameter {shifted}; "
+                                          f"n={n} at depth {depth} has {count}", "bad-config")
+        check_p("p", self.p)
+        if self.tau2 is not None:
+            check_tau2("tau2", self.tau2)
         referenced = set(self.subsystem) | {q for q, _ in self.sigma}
         if referenced and max(referenced) >= min(self.ns):
-            raise ConfigError("bad-config",
-                              "referenced qubits must fit the smallest system size")
+            raise ConfigError("referenced qubits must fit the smallest system size", "bad-config")
         if self.experiment in _TAU2_EXPERIMENTS:
             try:
                 tau2s = {n: self.resolved_tau2(n) for n in self.ns}
             except ValueError as exc:  # unknown preset
-                raise ConfigError("bad-config", str(exc)) from exc
+                raise ConfigError(str(exc), "bad-config") from exc
             for n, tau2 in tau2s.items():
-                if not tau2 > 0:
-                    raise ConfigError("bad-config", f"tau2_preset {self.tau2_preset!r} gives "
-                                                    f"tau2 = {tau2} at n={n}; set tau2")
+                check_tau2(f"tau2_preset {self.tau2_preset!r} at n={n}", tau2)
 
     def to_json_obj(self) -> dict:
         obj = asdict(self)
@@ -138,14 +135,17 @@ class ExperimentConfig:
         return obj
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "ExperimentConfig":
+    def from_json_obj(cls, obj) -> "ExperimentConfig":
+        if not isinstance(obj, dict):
+            raise ConfigError(f"a config is a JSON object, got {type(obj).__name__}",
+                              "bad-config")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(obj) - known
         if extra:
-            raise ConfigError("bad-config", f"unknown config keys: {sorted(extra)}")
+            raise ConfigError(f"unknown config keys: {sorted(extra)}", "bad-config")
         missing = {"experiment", "ns"} - set(obj)
         if missing:
-            raise ConfigError("bad-config", f"missing config keys: {sorted(missing)}")
+            raise ConfigError(f"missing config keys: {sorted(missing)}", "bad-config")
         return cls(**obj)
 
     def resolved_layers(self, n: int) -> int:
@@ -168,18 +168,39 @@ class ExperimentConfig:
         if self.tau2 is not None:
             return self.tau2
         return resolve_tau2(self.tau2_preset, n, self.resolved_layers(n),
-                            max_weight=max(1, len(self.sigma)))
+                            max_weight=len(self.sigma))
 
 
-def _integer(name: str, value, least: int) -> int:
-    """A config integer of at least `least`; text, floats and bools are rejected."""
+# The input checks of configs and CLI flags alike; `name` is the field or flag.
+
+def check_size(name: str, value, least: int) -> int:
+    """An integer of at least `least`; text, floats and bools are rejected."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ConfigError("bad-config", f"{name} must be an integer >= {least}, got {value!r}")
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}", "bad-config")
     return int(value)
 
 
 def _real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_p(name: str, value) -> None:
+    """An edge probability in [0, 1]; None stands for the default ln(n)/n."""
+    if value is not None and not (_real(value) and 0.0 <= value <= 1.0):  # also rejects NaN
+        raise ConfigError(f"{name} must lie in [0, 1], got {value!r}", "bad-config")
+
+
+def check_tau2(name: str, value) -> None:
+    """An angle variance in (0, 1/4), the range of the small-angle bounds."""
+    if not (_real(value) and 0.0 < value < 0.25):  # also rejects NaN and inf
+        raise ConfigError(f"{name} must lie in (0, 1/4), got {value!r}", "bad-config")
+
+
+def check_qubits(n: int, engine: str) -> None:
+    """At most as many qubits as `engine` ("statevector" or "propagation") simulates."""
+    cap = MAX_SV_QUBITS if engine == "statevector" else MAX_PROP_QUBITS
+    if n > cap:
+        raise ConfigError(f"the {engine} engine caps at {cap} qubits, got n={n}", "bad-config")
 
 
 def theorem_bound(max_weight: int, layers: int, tau2: float) -> float:
@@ -301,8 +322,8 @@ def lightcone_spread_experiment(config: ExperimentConfig) -> List[dict]:
         p = config.resolved_p(n)
         fracs = np.empty(config.trials)
         for trial in range(config.trials):
-            spec = GenerativeSpec(n, L, p, config.resolved_tau2(n),
-                                  derive_seed(config.seed, n, trial))
+            # the cone depends only on the CZ graphs, whose draws do not depend on tau2
+            spec = GenerativeSpec(n, L, p, TAU2_CONSTANT, derive_seed(config.seed, n, trial))
             _, cone = backward_lightcone(build_generative(spec), {start})
             fracs[trial] = len(cone) / n
         rows.append({"n": n, "L": L, "p": p, "trials": config.trials,
@@ -365,7 +386,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> Dict[str, str]:
             pass
         os.remove(probe)
     except OSError as exc:
-        raise ConfigError("unwritable-output", f"cannot write to {out_dir}: {exc}") from exc
+        raise ConfigError(f"cannot write to {out_dir}: {exc}", "unwritable-output") from exc
 
     rows = drivers[config.experiment](config)
     csv_path = os.path.join(out_dir, f"{config.experiment}.csv")

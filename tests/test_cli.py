@@ -115,6 +115,9 @@ def test_experiment_command(tmp_path):
                    "--quiet") == 0
     rows = read_csv(os.path.join(out_dir, "lightcone.csv"))
     assert len(rows) == 2
+    # the light cone does not depend on the angles, so no tau2 is resolved
+    manifest = json.load(open(os.path.join(out_dir, "lightcone.manifest.json")))
+    assert manifest["resolved_tau2"] is None
 
 
 def test_experiment_bad_config(tmp_path):
@@ -140,6 +143,8 @@ UNREAD_FIELDS = [
     ("gradvar", "subsystem", [1]), ("gradvar", "sine_cutoff", 3),
     ("lightcone", "trainable_depth", 1), ("lightcone", "shift_param", 0),
     ("lightcone", "sine_cutoff", 3),
+    ("gradvar", "sigma", [[0, "X"]]), ("lightcone", "tau2", 0.1),
+    ("lightcone", "tau2_preset", "constant"), ("lightcone", "sigma", [[0, "X"]]),
     ("pauliprop", "tau2_preset", "constant"), ("pauliprop", "subsystem", [1]),
     ("pauliprop", "sigma", [[0, "X"]]), ("pauliprop", "shift_param", 3),
     ("treewidth", "tau2", 0.1), ("treewidth", "tau2_preset", "constant"),
@@ -185,6 +190,15 @@ def test_unread_fields_at_default_accepted(tmp_path, experiment):
     {"experiment": "subvolume", "ns": [4], "sigma": [[0, "Q"]], "trials": 2},
     {"experiment": "subvolume", "ns": [4], "sigma": ["Z0"], "trials": 2},
     {"experiment": "lightcone", "ns": [20], "subsystem": 0, "trials": 1},
+    {"experiment": "subvolume", "ns": [4], "tau2": 0.3, "trials": 2},
+    {"experiment": "gradvar", "ns": [4], "tau2": 0.3, "trials": 2},
+    {"experiment": "pauliprop", "ns": [4], "tau2": 0.3, "trials": 1},
+    {"experiment": "pauliprop", "ns": [4], "tau2": 5.0, "trials": 1},
+    {"experiment": "subvolume", "ns": [4], "tau2_preset": "bogus", "trials": 2},
+    {"experiment": "subvolume", "ns": [4], "sigma": [[0, "X"], [0, "Z"]], "trials": 2},
+    {"experiment": "subvolume", "ns": [4], "sigma": [], "trials": 2},
+    {"experiment": "subvolume", "ns": [25], "trials": 2},
+    None, 5, [{}], [1],
 ] + [{"experiment": e, **UNREAD_BASES[e], f: v} for e, f, v in UNREAD_FIELDS],
    ids=["pauliprop_ns_33", "pauliprop_ns_4_40", "treewidth_p_2", "lightcone_tau2_0",
         "subvolume_theorem_n_1", "lightcone_unknown_preset", "treewidth_ns_0",
@@ -192,14 +206,19 @@ def test_unread_fields_at_default_accepted(tmp_path, experiment):
         "gradvar_shift_param_999", "pauliprop_layers_-2", "gradvar_trials_1",
         "subvolume_trials_1", "gradvar_n_1_no_bricks", "seed_-1", "p_text",
         "pauliprop_sine_cutoff_-1", "subsystem_text", "sigma_letter_Q",
-        "sigma_not_pairs", "subsystem_not_list"]
+        "sigma_not_pairs", "subsystem_not_list", "subvolume_tau2_0.3", "gradvar_tau2_0.3",
+        "pauliprop_tau2_0.3", "pauliprop_tau2_5", "subvolume_unknown_preset",
+        "sigma_qubit_twice", "sigma_empty", "subvolume_ns_25", "config_null", "config_number",
+        "config_list", "config_list_seed_override"]
    + [f"{e}_unread_{f}" for e, f, _ in UNREAD_FIELDS])
 def test_experiment_rejected_config_exit_2(tmp_path, capsys, obj):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(obj))
     out_dir = tmp_path / "o"
+    # a list config also gets a --seed, which the CLI writes into an object config
+    seed = ["--seed", "3"] if isinstance(obj, list) else []
     assert run_cli("experiment", "--config", str(config), "--out-dir", str(out_dir),
-                   "--quiet") == 2
+                   *seed, "--quiet") == 2
     assert not out_dir.exists()
     assert capsys.readouterr().err.startswith("error: [bad-config] ")
 
@@ -336,7 +355,10 @@ def test_threads_flag_rejected(tmp_path):
 # removed (None).
 FEATURES_MANIFESTS = {"CIRCUIT": {}, "NEGATIVE_TAU2": {"tau2": -1.0},
                       "TEXT_TAU2": {"tau2": "wide"}, "NO_TAU2": {"tau2": None},
-                      "N25": {}, "N33": {}}
+                      "WIDE_TAU2": {"tau2": 0.3}, "N25": {}, "N33": {}}
+# A plot case names a CSV with these contents, or a missing one (None).
+PLOT_CSVS = {"MISSING": None, "NAN": "a,b\n1,2\n2,nan\n", "INF": "a,b\n1,2\n2,inf\n",
+             "SHORT_ROW": "a,b\n1,2\n2\n"}
 
 
 def features_circuit(tmp_path, name):
@@ -391,16 +413,53 @@ def features_circuit(tmp_path, name):
     ["features", "--circuit", "N25", "--backend", "statevector"],
     ["features", "--circuit", "N33", "--backend", "propagation"],
     ["features", "--circuit", "CIRCUIT", "--observables", "ZQZ"],
+    ["gen", "--n", "4", "--layers", "1", "--tau2", "0.3"],
+    ["features", "--circuit", "CIRCUIT", "--tau2", "0.3"],
+    ["features", "--circuit", "WIDE_TAU2"],
+    ["gen", "--n", "4", "--layers", "1", "--seed", "-1"],
+    ["shadows", "--circuit", "CIRCUIT", "--seed", "-1"],
+    ["plot", "--csv", "MISSING", "--x", "a", "--y", "b"],
+    ["plot", "--csv", "NAN", "--x", "a", "--y", "b"],
+    ["plot", "--csv", "INF", "--x", "a", "--y", "b"],
+    ["plot", "--csv", "SHORT_ROW", "--x", "a", "--y", "b"],
 ], ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
 def test_bad_sizes_exit_2_before_work(tmp_path, capsys, argv):
     if argv[0] in ("features", "shadows"):
         argv = [features_circuit(tmp_path, a) if a in FEATURES_MANIFESTS else a for a in argv]
         capsys.readouterr()
+    for name, text in PLOT_CSVS.items():
+        if name in argv:
+            data = tmp_path / f"{name}.csv"
+            if text is not None:
+                data.write_text(text)
+            argv = [str(data) if a == name else a for a in argv]
     out = tmp_path / "out"
     assert run_cli(*argv, "--out", str(out), "--quiet") == 2
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, field, value, argv", [
+    ("--p", "p", 1.5, ["pauliprop-bench", "--ns", "4"]),
+    ("--tau2", "tau2", 0.3, ["gen", "--n", "4", "--layers", "1"]),
+    ("--layers", "layers", -1, ["pauliprop-bench", "--ns", "4"]),
+    ("--trials", "trials", 0, ["pauliprop-bench", "--ns", "4"]),
+    ("--ns", "ns", 0, ["pauliprop-bench"]),
+    ("--sine-cutoff", "sine_cutoff", -1, ["pauliprop-bench", "--ns", "4"]),
+], ids=["p", "tau2", "layers", "trials", "ns", "sine_cutoff"])
+def test_flag_and_config_field_share_check(tmp_path, capsys, flag, field, value, argv):
+    # a CLI flag and its config field reject the same value through the same check
+    out = tmp_path / "out"
+    assert run_cli(*argv, flag, str(value), "--out", str(out), "--quiet") == 2
+    assert not out.exists()
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"experiment": "pauliprop", "ns": [4], "trials": 1,
+                                  field: [value] if field == "ns" else value}))
+    assert run_cli("experiment", "--config", str(config), "--out-dir", str(tmp_path / "o"),
+                   "--quiet") == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 2 and all(e.startswith("error: [bad-config] ") for e in errors)
 
 
 def test_features_propagation_term_bound_exit_2(tmp_path, capsys, monkeypatch):
