@@ -62,7 +62,7 @@ class ExperimentConfig:
     ns: Tuple[int, ...]
     layers: Optional[int] = None       # default: ceil(ln n) per n (2 for subvolume)
     p: Optional[float] = None          # default: ln(n)/n per n
-    tau2: Optional[float] = None       # explicit value wins over the preset
+    tau2: Optional[float] = None       # explicit value, in place of a non-default preset
     tau2_preset: str = "theorem"
     subsystem: Tuple[int, ...] = (0,)
     sigma: Tuple[Tuple[int, str], ...] = ((0, "Z"),)
@@ -116,6 +116,9 @@ class ExperimentConfig:
         check_p("p", self.p)
         if self.tau2 is not None:
             check_tau2("tau2", self.tau2)
+            if self.tau2_preset != self.__dataclass_fields__["tau2_preset"].default:
+                raise ConfigError(f"tau2 {self.tau2} and tau2_preset {self.tau2_preset!r} "
+                                  f"both set; give one", "bad-config")
         referenced = set(self.subsystem) | {q for q, _ in self.sigma}
         if referenced and max(referenced) >= min(self.ns):
             raise ConfigError("referenced qubits must fit the smallest system size", "bad-config")

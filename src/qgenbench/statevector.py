@@ -52,12 +52,17 @@ class StateVector:
 
 
 def apply_1q_inplace(amps: np.ndarray, n: int, q: int, mat: np.ndarray) -> None:
-    """amps <- (2x2 `mat` on qubit q) amps, overwriting `amps`."""
-    view = amps.reshape((2 ** (n - q - 1), 2, 2**q), copy=False)
+    """amps <- (2x2 `mat` on qubit q) amps, overwriting `amps`.
+
+    `amps` is one state (2**n,) or a batch of states (R, 2**n), one per row.
+    Each row goes through the same per-block products as a single state, so
+    a row's result is bitwise the one it would get on its own.
+    """
+    view = amps.reshape((-1, 2 ** (n - q - 1), 2, 2**q), copy=False)
     if q >= n - q - 1:  # few wide blocks: one 2 x 2**q product per block
         view[...] = np.matmul(mat, view)
     else:  # many narrow blocks: one product per low-qubit index instead
-        view.transpose(2, 0, 1)[...] = np.matmul(view.transpose(2, 0, 1), mat.T)
+        view.transpose(0, 3, 1, 2)[...] = np.matmul(view.transpose(0, 3, 1, 2), mat.T)
 
 
 def _pair_view(amps: np.ndarray, n: int, a: int, b: int) -> np.ndarray:

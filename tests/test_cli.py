@@ -198,6 +198,8 @@ def test_unread_fields_at_default_accepted(tmp_path, experiment):
     {"experiment": "subvolume", "ns": [4], "sigma": [[0, "X"], [0, "Z"]], "trials": 2},
     {"experiment": "subvolume", "ns": [4], "sigma": [], "trials": 2},
     {"experiment": "subvolume", "ns": [25], "trials": 2},
+    {"experiment": "subvolume", "ns": [4], "tau2": 0.1, "tau2_preset": "bogus", "trials": 2},
+    {"experiment": "gradvar", "ns": [4], "tau2": 0.1, "tau2_preset": "constant", "trials": 2},
     None, 5, [{}], [1],
 ] + [{"experiment": e, **UNREAD_BASES[e], f: v} for e, f, v in UNREAD_FIELDS],
    ids=["pauliprop_ns_33", "pauliprop_ns_4_40", "treewidth_p_2", "lightcone_tau2_0",
@@ -208,8 +210,9 @@ def test_unread_fields_at_default_accepted(tmp_path, experiment):
         "pauliprop_sine_cutoff_-1", "subsystem_text", "sigma_letter_Q",
         "sigma_not_pairs", "subsystem_not_list", "subvolume_tau2_0.3", "gradvar_tau2_0.3",
         "pauliprop_tau2_0.3", "pauliprop_tau2_5", "subvolume_unknown_preset",
-        "sigma_qubit_twice", "sigma_empty", "subvolume_ns_25", "config_null", "config_number",
-        "config_list", "config_list_seed_override"]
+        "sigma_qubit_twice", "sigma_empty", "subvolume_ns_25",
+        "subvolume_tau2_with_bogus_preset", "gradvar_tau2_with_constant_preset", "config_null",
+        "config_number", "config_list", "config_list_seed_override"]
    + [f"{e}_unread_{f}" for e, f, _ in UNREAD_FIELDS])
 def test_experiment_rejected_config_exit_2(tmp_path, capsys, obj):
     config = tmp_path / "cfg.json"

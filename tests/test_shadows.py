@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -6,14 +7,22 @@ import pytest
 from qgenbench.circuits import GenerativeSpec, build_generative
 from qgenbench.pauli import PauliString, PauliSum, PauliTerm
 from qgenbench.seeding import rng_for
-from qgenbench.shadows import (_BASIS_ROT, ShadowSet, _sample_bitstrings, collect_shadows,
+from qgenbench.shadows import (_BASIS_ROT, _SNAPSHOT_FACTORS, ShadowSet, collect_shadows,
                                estimate_pauli, estimate_rdm, shadows_to_csv,
                                single_shot_values)
+from qgenbench import shadows as shadows_mod
 from qgenbench import statevector as sv
 
 # The two-path sampler below enumerated basis combinations while 3**n was at
 # most this, and rotated one state copy per shot above it.
 REFERENCE_ENUMERATE_LIMIT = 20000
+
+
+def _sample_bitstrings(probs, u):
+    """The package's former sampler: one CDF per rotated state."""
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    return np.searchsorted(cdf, u, side="right")
 
 
 def reference_collect(state, num_samples, seed):
@@ -56,6 +65,21 @@ def reference_collect(state, num_samples, seed):
     return bases, outcomes
 
 
+def reference_rdm(shadows, subsystem):
+    """Row-wise `np.unique(axis=0)` grouping of snapshots, kept to pin
+    `estimate_rdm` bitwise."""
+    keep = sorted(set(subsystem))
+    dim = 2 ** len(keep)
+    if not keep:
+        return np.ones((1, 1), dtype=complex)
+    cols = keep[::-1]
+    factors = 2 * shadows.bases[:, cols] + (1 - shadows.outcomes[:, cols]) // 2
+    total = np.zeros((dim, dim), dtype=complex)
+    for snapshot, count in zip(*np.unique(factors, axis=0, return_counts=True)):
+        total += count * reduce(np.kron, _SNAPSHOT_FACTORS[snapshot])
+    return total / len(shadows)
+
+
 def random_state(n, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
@@ -83,9 +107,12 @@ def test_deterministic():
     np.testing.assert_array_equal(a.outcomes, b.outcomes)
 
 
-@pytest.mark.parametrize("n, shots", [(3, 300), (10, 40)])  # both sides of the old switch
+# both sides of the old two-path switch, and n = 16, where a batch holds
+# one combination and every rotation runs in place on its one copy
+@pytest.mark.parametrize("n, shots", [(3, 300), (10, 40), (16, 20)])
 def test_collect_leaves_state_untouched(n, shots):
     assert (3**n <= REFERENCE_ENUMERATE_LIMIT) == (n == 3)
+    assert n < 16 or shadows_mod._BATCH_AMPS >> n == 0
     state = sv.run(build_generative(GenerativeSpec(n, 2, 0.4, 0.2, 8)))
     before = state.amplitudes.copy()
     collect_shadows(state, shots, seed=9)
@@ -104,6 +131,56 @@ def test_collect_matches_two_path_reference_bitwise(n):
             assert got.bases.shape == bases.shape and got.outcomes.shape == outcomes.shape
             assert got.bases.tobytes() == bases.tobytes()
             assert got.outcomes.tobytes() == outcomes.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("batch", ["one_row", "three_rows"])
+def test_collect_batches_cut_prefixes_bitwise(monkeypatch, n, batch):
+    """Batches of one and of three combinations cut through shared prefixes."""
+    monkeypatch.setattr(shadows_mod, "_BATCH_AMPS", 1 if batch == "one_row" else 3 * 2**n)
+    state = random_state(n, 200 + n)
+    for shots, seed in ((7, 0), (300, 1)):
+        bases, outcomes = reference_collect(state, shots, seed)
+        got = collect_shadows(state, shots, seed)
+        assert got.bases.tobytes() == bases.tobytes()
+        assert got.outcomes.tobytes() == outcomes.tobytes()
+
+
+def test_collect_workload_shape_bitwise():
+    """n = 10 with 2,000 shots: nearly every shot has its own combination."""
+    state = random_state(10, 110)
+    bases, outcomes = reference_collect(state, 2000, 5)
+    got = collect_shadows(state, 2000, 5)
+    assert len(np.unique(bases, axis=0)) > 1900
+    assert got.bases.tobytes() == bases.tobytes()
+    assert got.outcomes.tobytes() == outcomes.tobytes()
+
+
+def distinct_rotated_prefixes(bases, per_batch):
+    """Distinct prefixes 0..q ending in X or Y, counted per batch of combinations."""
+    combos = np.unique(bases, axis=0)  # sorted, qubit 0 most significant
+    return sum(len({tuple(c[:q + 1]) for c in combos[lo:lo + per_batch]
+                    for q in range(len(c)) if c[q] != 2})
+               for lo in range(0, len(combos), per_batch))
+
+
+@pytest.mark.parametrize("n, shots, batch_amps", [
+    (6, 500, 2**30), (6, 500, 2**14), (10, 2000, 2**14), (4, 40, 1)])
+def test_each_shared_prefix_rotated_once(monkeypatch, n, shots, batch_amps):
+    """Each distinct X or Y prefix in a batch is one rotated row, no more."""
+    monkeypatch.setattr(shadows_mod, "_BATCH_AMPS", batch_amps)
+    rotated = []
+    def counting(amps, n_, q, mat):
+        rotated.append(len(amps))
+        sv.apply_1q_inplace(amps, n_, q, mat)
+    monkeypatch.setattr(shadows_mod, "apply_1q_inplace", counting)
+    state = random_state(n, 300 + n)
+    got = collect_shadows(state, shots, 3)
+    per_batch = max(1, batch_amps >> n)
+    assert sum(rotated) == distinct_rotated_prefixes(got.bases, per_batch)
+    # each level rotates its X rows in one product and its Y rows in another
+    combos = len(np.unique(got.bases, axis=0))
+    assert len(rotated) <= 2 * n * -(-combos // per_batch)
 
 
 def test_bases_uniform():
@@ -198,6 +275,18 @@ def test_rdm_matches_per_shot_kron_sum():
             expected = expected + acc
         np.testing.assert_allclose(estimate_rdm(shadows, subsystem), expected / shots,
                                    atol=1e-12)
+
+
+@pytest.mark.parametrize("subsystem", [[], [0], [3], [0, 1], [2, 0], [1, 3, 4], [0, 1, 2, 3, 4]])
+def test_rdm_matches_row_unique_reference_bitwise(subsystem):
+    rng = np.random.default_rng(5)
+    for shots in (1, 2000):
+        bases = rng.integers(0, 3, (shots, 5), dtype=np.int8)
+        outcomes = (1 - 2 * rng.integers(0, 2, (shots, 5))).astype(np.int8)
+        shadows = ShadowSet(5, bases, outcomes)
+        got, want = estimate_rdm(shadows, subsystem), reference_rdm(shadows, subsystem)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_median_of_means_robust():
