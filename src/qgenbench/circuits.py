@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -135,8 +134,8 @@ class GenerativeSpec:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("edge probability must lie in [0, 1]")
-        if self.tau2 <= 0:
-            raise ValueError("tau2 must be positive")
+        if not 0.0 < self.tau2 < 0.25:  # also rejects NaN
+            raise ValueError(f"tau2 must lie in (0, 1/4), got {self.tau2!r}")
 
 
 @dataclass
@@ -146,15 +145,23 @@ class Circuit:
     theta: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
-        """Reject IR the engines would index past or silently mis-simulate."""
+        """Reject IR the engines would index past or silently mis-simulate.
+
+        Qubit counts, qubits and parameter ids must be exact Python ints: a
+        float or a bool would be truncated or mis-indexed by the engines.
+        """
         self.theta = np.asarray(self.theta, dtype=float)
-        if not np.isfinite(self.theta).all():
-            raise ValueError("theta must be finite")
+        if self.theta.ndim != 1 or not np.isfinite(self.theta).all():
+            raise ValueError("theta must be a flat array of finite angles")
         n = self.n
+        if type(n) is not int or n < 1:
+            raise ValueError(f"qubit count must be an integer >= 1, got {n!r}")
         for layer in self.layers:
             if isinstance(layer, RotationLayer):
                 if layer.axis not in ("X", "Y", "Z"):
                     raise ValueError(f"unknown rotation axis {layer.axis!r}")
+                if layer.role not in ("gen", "train"):
+                    raise ValueError(f"unknown rotation role {layer.role!r}")
                 if len(layer.angles) != n:
                     raise ValueError(f"rotation layer has {len(layer.angles)} angles "
                                      f"for {n} qubits")
@@ -162,12 +169,15 @@ class Circuit:
                     raise ValueError("rotation angles must be finite")
             pairs = (layer.edges if isinstance(layer, CZLayer)
                      else layer.pairs if isinstance(layer, BrickLayer) else ())
-            if not all(0 <= a < n and 0 <= b < n for a, b in pairs):
-                raise ValueError(f"qubit pair outside the {n}-qubit register in {pairs}")
+            if not all(type(a) is int and type(b) is int and 0 <= a < n and 0 <= b < n
+                       for a, b in pairs):
+                raise ValueError(f"qubit pairs must be integers inside the {n}-qubit "
+                                 f"register: {pairs}")
         ids = [pid for layer in self.layers if isinstance(layer, BrickLayer)
                for brick in layer.param_ids for pid in brick]
-        if ids and (len(set(ids)) < len(ids) or min(ids) < 0 or max(ids) >= len(self.theta)):
-            raise ValueError("param_ids must be distinct indices into theta")
+        if ids and (set(map(type, ids)) != {int} or len(set(ids)) < len(ids)
+                    or min(ids) < 0 or max(ids) >= len(self.theta)):
+            raise ValueError("param_ids must be distinct integer indices into theta")
 
     @property
     def num_params(self) -> int:
@@ -227,14 +237,7 @@ def sample_er_graph(n: int, p: float, seed: int) -> LayerGraph:
 
 def build_generative(spec: GenerativeSpec) -> Circuit:
     """L x [RX layer, CZ layer] then a final RX and RY layer."""
-    tau2 = spec.tau2
-    if tau2 >= 0.25:
-        warnings.warn(
-            f"tau2={tau2} is outside the small-angle regime; clamping to {TAU2_CONSTANT}",
-            stacklevel=2,
-        )
-        tau2 = TAU2_CONSTANT
-    tau = math.sqrt(tau2)
+    tau = math.sqrt(spec.tau2)
     rng = rng_for(spec.seed)
     layers: List[Layer] = []
     for _ in range(spec.layers):

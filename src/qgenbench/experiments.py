@@ -44,7 +44,7 @@ READ_FIELDS = {
     "treewidth": ("layers", "p"),
 }
 EXPERIMENT_IDS = tuple(READ_FIELDS)
-_TAU2_EXPERIMENTS = tuple(e for e, read in READ_FIELDS.items() if "tau2_preset" in read)
+_TAU2_EXPERIMENTS = tuple(e for e, read in READ_FIELDS.items() if "tau2" in read)
 _OPTIONAL_FIELDS = tuple(dict.fromkeys(f for read in READ_FIELDS.values() for f in read))
 
 
@@ -170,6 +170,8 @@ class ExperimentConfig:
     def resolved_tau2(self, n: int) -> float:
         if self.tau2 is not None:
             return self.tau2
+        if self.experiment == "pauliprop":  # reads no preset
+            return TAU2_CONSTANT
         return resolve_tau2(self.tau2_preset, n, self.resolved_layers(n),
                             max_weight=len(self.sigma))
 

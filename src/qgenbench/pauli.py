@@ -79,17 +79,14 @@ class PauliString:
 
 @dataclass(frozen=True)
 class PauliTerm:
-    """A real-coefficient term with its accumulated sine-factor count."""
+    """A real coefficient times a Pauli string."""
 
     coefficient: float
     string: PauliString
-    sine_count: int = 0
 
     def __post_init__(self):
         if not math.isfinite(self.coefficient):
             raise ValueError("coefficient must be finite")
-        if self.sine_count < 0:
-            raise ValueError("sine_count must be nonnegative")
 
 
 class PauliSum:
@@ -110,15 +107,11 @@ class PauliSum:
         if term.string.n != self.n:
             raise PauliDimensionError("term qubit count differs from sum")
         prev = self.terms.get(term.string)
-        if prev is None:
-            c, sc = term.coefficient, term.sine_count
-        else:
-            c = prev.coefficient + term.coefficient
-            sc = min(prev.sine_count, term.sine_count)
+        c = term.coefficient if prev is None else prev.coefficient + term.coefficient
         if abs(c) < COEFF_EPS:
             self.terms.pop(term.string, None)
         else:
-            self.terms[term.string] = PauliTerm(c, term.string, sc)
+            self.terms[term.string] = PauliTerm(c, term.string)
 
     def __len__(self) -> int:
         return len(self.terms)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -43,11 +43,12 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class TruncationPolicy:
+    """What `propagate` drops after every rotation gate; one policy holds for the run."""
+
     sine_cutoff: Optional[int] = None
     coeff_threshold: Optional[float] = None
     weight_cutoff: Optional[int] = None
     max_terms: Optional[int] = None
-    dynamic_schedule: Optional[Dict[int, "TruncationPolicy"]] = None
     exact: bool = False
 
     def __post_init__(self):
@@ -57,28 +58,10 @@ class TruncationPolicy:
             raise ValueError(f"exact mode keeps every term; it takes no {', '.join(lossy)}")
         if not self.exact and not lossy and self.max_terms is None:
             raise ValueError("set at least one truncation criterion or exact=True")
-        if any(p.dynamic_schedule for p in (self.dynamic_schedule or {}).values()):
-            raise ValueError("a dynamic_schedule entry cannot have a schedule of its own")
 
     @classmethod
     def exact_mode(cls, max_terms: Optional[int] = None) -> "TruncationPolicy":
         return cls(exact=True, max_terms=max_terms)
-
-    def at_step(self, step: int) -> "TruncationPolicy":
-        """Policy in force at a given processing step (0 = last circuit gate).
-
-        The dynamic schedule maps a step index to a full replacement policy,
-        active for all steps >= that index; the largest applicable key wins.
-        """
-        if not self.dynamic_schedule:
-            return self
-        best = None
-        for k in self.dynamic_schedule:
-            if k <= step and (best is None or k > best):
-                best = k
-        if best is None:
-            return self
-        return self.dynamic_schedule[best]
 
 
 @dataclass
@@ -119,10 +102,11 @@ class _TermArrays:
 
     @classmethod
     def from_sum(cls, obs: PauliSum) -> "_TermArrays":
-        """Sorted arrays of a sum (a PauliSum holds no duplicates and no zeros)."""
+        """Sorted arrays of a sum, every sine count 0 (a PauliSum holds no
+        duplicates and no zeros)."""
         terms = sorted(obs, key=lambda t: _key(t.string.x, t.string.z))
         return cls([_key(t.string.x, t.string.z) for t in terms],
-                   [t.coefficient for t in terms], [t.sine_count for t in terms])
+                   [t.coefficient for t in terms], np.zeros(len(terms), dtype=np.int64))
 
 
 def _merge(a: _TermArrays, b: _TermArrays) -> _TermArrays:
@@ -224,16 +208,14 @@ def propagate(circuit: Circuit, observable: PauliSum,
     report = PropagationReport(expectation=0.0)
     t = _TermArrays.from_sum(observable)
     start = time.monotonic()
-    step = 0
     for gate in reversed(gates):
         if gate.kind == "CZ":
             t = _apply_cz(t, *gate.qubits)
         elif gate.kind in ROTATION_KINDS:
             t = _apply_rotation(t, gate.generator(circuit.n), gate.angle)
-            t = _truncate(t, policy.at_step(step), report)
+            t = _truncate(t, policy, report)
         else:
             raise ValueError(f"unknown gate kind {gate.kind!r}")
-        step += 1
         report.terms_per_step.append(len(t))
         report.peak_terms = max(report.peak_terms, len(t))
     report.wall_time = time.monotonic() - start
@@ -298,7 +280,7 @@ def benchmark_propagation(ns, policy: Optional[TruncationPolicy], trials: int, s
 
 def _policy_id(policy: TruncationPolicy) -> str:
     if policy.exact:
-        return "exact-dyn" if policy.dynamic_schedule else "exact"
+        return "exact"
     parts = []
     if policy.sine_cutoff is not None:
         parts.append(f"sine{policy.sine_cutoff}")
@@ -308,6 +290,4 @@ def _policy_id(policy: TruncationPolicy) -> str:
         parts.append(f"w{policy.weight_cutoff}")
     if policy.max_terms is not None:
         parts.append(f"max{policy.max_terms}")
-    if policy.dynamic_schedule:
-        parts.append("dyn")
     return "-".join(parts)

@@ -69,11 +69,11 @@ def test_generative_angle_variance():
     assert abs(angles.var() - tau2) < 3 * sigma
 
 
-def test_generative_tau2_clamped_with_warning():
-    with pytest.warns(UserWarning):
-        circ = build_generative(GenerativeSpec(4, 1, 0.2, 0.3, 0))
-    angs = [a for l in circ.layers if isinstance(l, RotationLayer) for a in l.angles]
-    assert np.var(angs) < 0.3  # drawn from the clamped distribution
+@pytest.mark.parametrize("tau2", [0.25, 0.3, float("nan"), 0.0, -0.1])
+def test_generative_spec_rejects_tau2_outside_small_angle_range(tau2):
+    # the model is defined for 0 < tau2 < 1/4; nothing is clamped
+    with pytest.raises(ValueError, match="tau2"):
+        GenerativeSpec(4, 1, 0.2, tau2, 0)
 
 
 def test_resolve_tau2():
@@ -138,10 +138,22 @@ def test_param_ids_unique():
     RotationLayer("W", "gen", (0.1,) * 4),
     RotationLayer("Y", "gen", (0.1, float("nan"), 0.0, 0.0)),
     RotationLayer("Z", "gen", (0.1, float("inf"), 0.0, 0.0)),
+    CZLayer(((0, 1.5),)),  # would be truncated to CZ(0, 1)
+    CZLayer(((True, 2),)),
+    BrickLayer(((0.0, 1),), (tuple(range(15)),)),
+    BrickLayer(((0, 1),), ((0.0,) + tuple(range(1, 15)),)),  # a float parameter index
+    RotationLayer("X", "zzz", (0.1,) * 4),  # neither resampled nor trained
 ])
 def test_circuit_rejects_malformed_layers(layer):
     with pytest.raises(ValueError):
         Circuit(4, (layer,), np.zeros(15))
+
+
+@pytest.mark.parametrize("n, theta", [(2.0, ()), (-1, ()), (0, ()), (True, ()),
+                                      (2, np.zeros((1, 2)))])
+def test_circuit_rejects_bad_qubit_count_and_theta(n, theta):
+    with pytest.raises(ValueError):
+        Circuit(n, (), theta)
 
 
 def test_circuit_rejects_non_finite_theta():

@@ -106,6 +106,36 @@ def test_out_of_range_edge_is_exit_2(tmp_path):
                    "--out", str(tmp_path / "f.csv"), "--quiet") == 2
 
 
+_ROT4 = {"type": "rot", "axis": "X", "role": "gen", "angles": [0.1] * 4}
+_BRICK_IDS = list(range(15))
+
+
+@pytest.mark.parametrize("circuit", [
+    {"n": 4, "theta": [], "layers": [_ROT4, {"type": "cz", "edges": [[0, 1.5]]}]},
+    {"n": 4, "theta": [], "layers": [_ROT4, {"type": "cz", "edges": [[True, 2]]}]},
+    {"n": 4, "theta": [0.0] * 15, "layers": [
+        _ROT4, {"type": "brick", "pairs": [[0, 1]], "param_ids": [[0.0] + _BRICK_IDS[1:]]}]},
+    {"n": 2.0, "theta": [], "layers": []},
+    {"n": -1, "theta": [], "layers": []},
+    {"n": 0, "theta": [], "layers": []},
+    {"n": 4, "theta": [], "layers": [{**_ROT4, "role": "zzz"}]},
+    {"n": 4, "theta": [[0.0] * 15], "layers": [_ROT4]},
+], ids=["float_edge", "bool_edge", "float_param_id", "float_n", "negative_n", "zero_n",
+        "unknown_role", "2d_theta"])
+@pytest.mark.parametrize("command", [["features", "--tau2", "0.1", "--samples", "2"],
+                                     ["features", "--tau2", "0.1", "--samples", "2",
+                                      "--backend", "propagation"],
+                                     ["shadows", "--shots", "10"]],
+                         ids=["statevector", "propagation", "shadows"])
+def test_malformed_circuit_ir_is_exit_2(tmp_path, capsys, circuit, command):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(circuit))
+    out = tmp_path / "out.csv"
+    assert run_cli(*command, "--circuit", str(path), "--out", str(out), "--quiet") == 2
+    assert capsys.readouterr().err.startswith("error: malformed circuit file")
+    assert not out.exists()
+
+
 def test_experiment_command(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"experiment": "lightcone", "ns": [10, 20],

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from qgenbench.circuits import build_trainable
+from qgenbench.circuits import TAU2_CONSTANT, build_trainable
 from qgenbench.experiments import (EXPERIMENT_IDS, READ_FIELDS, ConfigError, ExperimentConfig,
                                    default_shift_param,
                                    gradient_variance_experiment,
@@ -176,3 +176,17 @@ def test_pauliprop_dispatch(tmp_path):
     assert set(rows[0]) == {"n", "trial", "policy_id", "expectation",
                             "error_vs_exact", "peak_terms", "final_terms",
                             "dropped_mass", "wall_time_s"}
+
+
+def test_pauliprop_manifest_records_its_tau2(tmp_path):
+    # pauliprop reads tau2 but no preset; by default its circuits use the
+    # constant preset, and the manifest must say so rather than null
+    base = dict(experiment="pauliprop", ns=(4, 5), trials=1, layers=1)
+    rows = {}
+    for name, extra in (("default", {}), ("explicit", {"tau2": TAU2_CONSTANT})):
+        paths = run_experiment(cfg(**base, **extra), str(tmp_path / name))
+        with open(paths["manifest"]) as fh:
+            assert json.load(fh)["resolved_tau2"] == {"4": TAU2_CONSTANT, "5": TAU2_CONSTANT}
+        rows[name] = [{k: v for k, v in r.items() if k != "wall_time_s"}
+                      for r in read_csv(paths["csv"])]
+    assert rows["default"] == rows["explicit"]

@@ -43,8 +43,10 @@ def rand_arrays(rng, n, k):
     """Up to k random terms with random sine counts."""
     s = PauliSum(n)
     for _ in range(k):
-        s.add(PauliTerm(float(rng.normal()), rand_string(rng, n), int(rng.integers(0, 4))))
-    return arrays(s)
+        s.add(PauliTerm(float(rng.normal()), rand_string(rng, n)))
+    t = arrays(s)
+    t.s = rng.integers(0, 4, len(t))
+    return t
 
 
 def one_term(p: PauliString, coefficient=1.0) -> _TermArrays:
@@ -257,15 +259,6 @@ def test_anticommuting_split_adds_one_term():
     s.add(PauliTerm(0.5, PauliString.from_label("IZ")))
     out = _apply_rotation(arrays(s), PauliString.from_label("XI"), 0.3)
     assert len(out) == 3  # ZI splits into ZI and YI; IZ commutes
-
-
-def test_merge_keeps_min_sine_count():
-    s = PauliSum(1)
-    s.add(PauliTerm(0.5, PauliString.from_label("Z"), 3))
-    s.add(PauliTerm(0.25, PauliString.from_label("Z"), 1))
-    term = next(iter(s))
-    assert term.coefficient == pytest.approx(0.75)
-    assert term.sine_count == 1
 
 
 def test_merge_kernel_sums_duplicates():

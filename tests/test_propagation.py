@@ -110,22 +110,6 @@ def test_max_terms_keeps_largest():
     assert max(rep.terms_per_step) <= 32
 
 
-def test_dynamic_schedule_switches_policy():
-    circ = full_model(6, 4)
-    obs = z_obs(6)
-    loose = TruncationPolicy(sine_cutoff=8)
-    base = TruncationPolicy(sine_cutoff=0, dynamic_schedule={0: loose})
-    rep_dyn = propagate(circ, obs, base)
-    rep_loose = propagate(circ, obs, loose)
-    # override active from step 0 => behaves exactly like the loose policy
-    assert rep_dyn.expectation == pytest.approx(rep_loose.expectation, abs=1e-12)
-
-    late = TruncationPolicy(sine_cutoff=0, dynamic_schedule={10**9: loose})
-    rep_late = propagate(circ, obs, late)
-    rep_tight = propagate(circ, obs, TruncationPolicy(sine_cutoff=0))
-    assert rep_late.expectation == pytest.approx(rep_tight.expectation, abs=1e-12)
-
-
 def test_exact_mode_resource_limit():
     circ = full_model(8, 2)
     with pytest.raises(ResourceLimitError) as err:
@@ -147,24 +131,6 @@ def test_exact_policy_rejects_lossy_criteria(criterion):
         TruncationPolicy(exact=True, **criterion)
     with pytest.raises(ValueError, match="exact mode"):
         TruncationPolicy(exact=True, max_terms=64, **criterion)
-
-
-def test_policy_rejects_nested_schedule():
-    # at_step would never consult the inner schedule
-    inner = TruncationPolicy(sine_cutoff=2, dynamic_schedule={3: TruncationPolicy(sine_cutoff=0)})
-    with pytest.raises(ValueError, match="schedule"):
-        TruncationPolicy(sine_cutoff=1, dynamic_schedule={5: inner})
-    with pytest.raises(ValueError, match="schedule"):
-        TruncationPolicy(exact=True, dynamic_schedule={0: inner})
-
-
-def test_policy_id_marks_schedule_after_exact():
-    later = TruncationPolicy(sine_cutoff=1)
-    ids = [benchmark_propagation([4], pol, 1, 0, layers=1)[0]["policy_id"]
-           for pol in (TruncationPolicy(exact=True, dynamic_schedule={5: later}),
-                       TruncationPolicy.exact_mode(),
-                       TruncationPolicy(sine_cutoff=2, dynamic_schedule={5: later}))]
-    assert ids == ["exact-dyn", "exact", "sine2-dyn"]
 
 
 def test_zero_angle_circuit_exact_despite_cutoff():
@@ -234,15 +200,13 @@ def test_propagation_matches_statevector_on_random_circuits(data):
     assert rep.expectation == pytest.approx(exact, abs=1e-9)
     assert rep.dropped_mass == 0.0
 
-    later = TruncationPolicy(weight_cutoff=data.draw(st.integers(0, n)),
-                             max_terms=data.draw(st.integers(1, 64)))
     policies = [
         TruncationPolicy(sine_cutoff=data.draw(st.integers(0, 3))),
         TruncationPolicy(coeff_threshold=data.draw(st.floats(1e-3, 0.5))),
         TruncationPolicy(weight_cutoff=data.draw(st.integers(0, n))),
         TruncationPolicy(max_terms=data.draw(st.integers(1, 64))),
-        TruncationPolicy(sine_cutoff=data.draw(st.integers(0, 3)),
-                         dynamic_schedule={data.draw(st.integers(0, 40)): later}),
+        TruncationPolicy(weight_cutoff=data.draw(st.integers(0, n)),
+                         max_terms=data.draw(st.integers(1, 64))),
     ]
     for policy in policies:
         rep = propagate(circ, obs, policy)
@@ -343,14 +307,14 @@ def reference_propagate(circuit, observable, policy):
     """Report of the reference engine; wall_time is left at 0."""
     terms = list(observable)
     t = _ref_merge(_RefTerms([p.string.x for p in terms], [p.string.z for p in terms],
-                             [p.coefficient for p in terms], [p.sine_count for p in terms]))
+                             [p.coefficient for p in terms], [0] * len(terms)))
     report = PropagationReport(expectation=0.0)
-    for step, gate in enumerate(reversed(list(circuit.gates()))):
+    for gate in reversed(list(circuit.gates())):
         if gate.kind == "CZ":
             t = _ref_cz(t, *gate.qubits)
         else:
             t = _ref_rotation(t, gate.generator(circuit.n), gate.angle)
-            t = _ref_truncate(t, policy.at_step(step), report)
+            t = _ref_truncate(t, policy, report)
         report.terms_per_step.append(len(t))
         report.peak_terms = max(report.peak_terms, len(t))
     report.expectation = float(np.sum(t.c[t.x == 0]))
@@ -387,8 +351,6 @@ def test_propagate_matches_reference_bitwise(data):
     n = circ.n
     obs = data.draw(random_observables(n))
     cap = st.integers(1, 64)
-    later = TruncationPolicy(weight_cutoff=data.draw(st.integers(0, n)),
-                             max_terms=data.draw(cap))
     policies = [
         TruncationPolicy.exact_mode(max_terms=data.draw(st.integers(1, 512))),
         TruncationPolicy(sine_cutoff=data.draw(st.integers(0, 2))),
@@ -397,8 +359,7 @@ def test_propagate_matches_reference_bitwise(data):
         TruncationPolicy(max_terms=data.draw(cap)),
         TruncationPolicy(sine_cutoff=data.draw(st.integers(0, 3)), max_terms=data.draw(cap),
                          coeff_threshold=data.draw(st.sampled_from([None, 0.05]))),
-        TruncationPolicy(sine_cutoff=data.draw(st.integers(0, 2)),
-                         dynamic_schedule={data.draw(st.integers(0, 40)): later}),
+        TruncationPolicy(weight_cutoff=data.draw(st.integers(0, n)), max_terms=data.draw(cap)),
     ]
     for policy in policies:
         assert_same_report(circ, obs, policy)
