@@ -133,6 +133,18 @@ def test_exact_policy_rejects_lossy_criteria(criterion):
         TruncationPolicy(exact=True, max_terms=64, **criterion)
 
 
+def test_policy_id_marks_schedule_after_exact():
+    # one policy holds for the whole run, so the id carries no schedule suffix:
+    # exact mode reads "exact" (a max_terms cap included), lossy modes list their criteria
+    ids = [benchmark_propagation([4], pol, 1, 0, layers=1)[0]["policy_id"]
+           for pol in (TruncationPolicy.exact_mode(),
+                       TruncationPolicy(exact=True, max_terms=64),
+                       TruncationPolicy(sine_cutoff=2),
+                       TruncationPolicy(sine_cutoff=2, coeff_threshold=0.01,
+                                        weight_cutoff=3, max_terms=64))]
+    assert ids == ["exact", "exact", "sine2", "sine2-coeff0.01-w3-max64"]
+
+
 def test_zero_angle_circuit_exact_despite_cutoff():
     spec = GenerativeSpec(6, 2, 0.4, 1e-18, 5)
     circ = build_generative(spec)
