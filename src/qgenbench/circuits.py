@@ -138,6 +138,16 @@ class GenerativeSpec:
             raise ValueError(f"tau2 must lie in (0, 1/4), got {self.tau2!r}")
 
 
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
+
+def _has_bool(values) -> bool:
+    """Whether a list, tuple or array holds a boolean."""
+    if isinstance(values, np.ndarray):
+        return values.dtype == bool
+    return isinstance(values, (list, tuple)) and not _BOOL_TYPES.isdisjoint(map(type, values))
+
+
 @dataclass
 class Circuit:
     n: int
@@ -149,7 +159,10 @@ class Circuit:
 
         Qubit counts, qubits and parameter ids must be exact Python ints: a
         float or a bool would be truncated or mis-indexed by the engines.
+        Angles must not be bools, which would run as 0 or 1 radian.
         """
+        if _has_bool(self.theta):
+            raise ValueError("theta entries must be numbers, not booleans")
         self.theta = np.asarray(self.theta, dtype=float)
         if self.theta.ndim != 1 or not np.isfinite(self.theta).all():
             raise ValueError("theta must be a flat array of finite angles")
@@ -165,8 +178,8 @@ class Circuit:
                 if len(layer.angles) != n:
                     raise ValueError(f"rotation layer has {len(layer.angles)} angles "
                                      f"for {n} qubits")
-                if not all(map(math.isfinite, layer.angles)):
-                    raise ValueError("rotation angles must be finite")
+                if _has_bool(layer.angles) or not all(map(math.isfinite, layer.angles)):
+                    raise ValueError("rotation angles must be finite numbers")
             pairs = (layer.edges if isinstance(layer, CZLayer)
                      else layer.pairs if isinstance(layer, BrickLayer) else ())
             if not all(type(a) is int and type(b) is int and 0 <= a < n and 0 <= b < n
@@ -184,8 +197,7 @@ class Circuit:
         return len(self.theta)
 
     def with_theta(self, theta: Sequence[float]) -> "Circuit":
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != self.theta.shape:
+        if np.shape(theta) != self.theta.shape:
             raise ValueError("theta length mismatch")
         return Circuit(self.n, self.layers, theta)
 
@@ -193,19 +205,24 @@ class Circuit:
         """All gates in application order, trainable angles resolved."""
         th = self.theta if theta is None else np.asarray(theta, dtype=float)
         for layer in self.layers:
-            if isinstance(layer, RotationLayer):
-                for q, ang in enumerate(layer.angles):
-                    yield Gate("R" + layer.axis, (q,), ang, layer.role)
-            elif isinstance(layer, CZLayer):
-                for a, b in layer.edges:
-                    yield Gate("CZ", (a, b))
-            elif isinstance(layer, BrickLayer):
-                for pair, ids in zip(layer.pairs, layer.param_ids):
-                    for (kind, which), pid in zip(_BRICK_TEMPLATE, ids):
-                        qubits = pair if which == 2 else (pair[which],)
-                        yield Gate(kind, qubits, float(th[pid]), "train", pid)
-            else:
-                raise TypeError(f"unknown layer {layer!r}")
+            yield from layer_gates(layer, th)
+
+
+def layer_gates(layer: Layer, theta: np.ndarray) -> Iterator[Gate]:
+    """The gates of one layer in application order, brick angles read from `theta`."""
+    if isinstance(layer, RotationLayer):
+        for q, ang in enumerate(layer.angles):
+            yield Gate("R" + layer.axis, (q,), ang, layer.role)
+    elif isinstance(layer, CZLayer):
+        for a, b in layer.edges:
+            yield Gate("CZ", (a, b))
+    elif isinstance(layer, BrickLayer):
+        for pair, ids in zip(layer.pairs, layer.param_ids):
+            for (kind, which), pid in zip(_BRICK_TEMPLATE, ids):
+                qubits = pair if which == 2 else (pair[which],)
+                yield Gate(kind, qubits, float(theta[pid]), "train", pid)
+    else:
+        raise TypeError(f"unknown layer {layer!r}")
 
 
 def resolve_tau2(preset: str, n: int, layers: int, max_weight: int = 1) -> float:
@@ -355,7 +372,7 @@ def circuit_from_json_obj(obj: dict) -> Circuit:
                                      tuple(tuple(i) for i in d["param_ids"])))
         else:
             raise ValueError(f"unknown layer type {d['type']!r}")
-    return Circuit(obj["n"], tuple(layers), np.asarray(obj["theta"], dtype=float))
+    return Circuit(obj["n"], tuple(layers), obj["theta"])
 
 
 def circuit_to_json(circuit: Circuit) -> str:

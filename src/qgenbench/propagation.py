@@ -1,15 +1,19 @@
 """Heisenberg-picture Pauli propagation with configurable truncation.
 
-The observable (a real-coefficient Pauli sum) is conjugated gate-by-gate from
-the last circuit gate to the first; the final expectation is read off on
-|0...0>.  Terms are held in flat numpy arrays: one packed uint64 key
+The observable (a real-coefficient Pauli sum) is conjugated layer by layer
+from the last circuit layer to the first; the final expectation is read off
+on |0...0>.  Terms are held in flat numpy arrays: one packed uint64 key
 (x << 32) | z per string, which caps the register at 32 qubits, plus the
 coefficient and the sine count.  A rotation scales the cosine branch of the
 anticommuting terms and merges their sine branch into the terms with one
 stable sort, which runs in linear time because both parts are sorted runs.
-Truncation runs after each rotation gate; the term cap finds its threshold
-with ``np.partition``.  CZ gates create no new terms: they permute keys,
-and the next rotation that splits terms sorts them again.
+Truncation runs after each rotation that split a term, and after any
+rotation while the terms may hold what it would drop; the term cap finds
+its threshold with ``np.partition``.  A CZ layer creates no new terms: its
+gates commute, so the whole layer is one Clifford map of the keys,
+z <- z ^ M x with M the layer's adjacency matrix, plus one closed-form
+sign; the keys come out permuted, and the next rotation that splits terms
+sorts them again.
 
 Rotation gates follow the generator convention R(g) = exp(-i*g*G) with G a
 Pauli, so conjugating an anticommuting string P gives
@@ -21,12 +25,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuits import (Circuit, GenerativeSpec, ROTATION_KINDS, build_generative,
-                       build_trainable, concatenate, default_layers, default_p)
+from .circuits import (Circuit, CZLayer, GenerativeSpec, build_generative, build_trainable,
+                       concatenate, default_layers, default_p, layer_gates)
 from .pauli import COEFF_EPS, PauliString, PauliSum, PauliTerm
 from .seeding import derive_seed
 
@@ -43,7 +47,7 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """What `propagate` drops after every rotation gate; one policy holds for the run."""
+    """What `propagate` drops after rotation gates; one policy holds for the run."""
 
     sine_cutoff: Optional[int] = None
     coeff_threshold: Optional[float] = None
@@ -85,7 +89,7 @@ def _key(x: int, z: int) -> int:
 class _TermArrays:
     """Flat storage: packed (x << 32) | z keys (uint64), coefficients, sine counts.
 
-    Rotations that split a term return keys in increasing order; CZ gates
+    Rotations that split a term return keys in increasing order; CZ layers
     permute keys, and the next splitting rotation sorts them again.
     """
 
@@ -155,14 +159,41 @@ def _apply_rotation(t: _TermArrays, gen: PauliString, angle: float) -> _TermArra
     return _merge(_TermArrays(t.k, c, t.s), sine)
 
 
-def _apply_cz(t: _TermArrays, a: int, b: int) -> _TermArrays:
-    one = np.uint64(1)
-    xa = (t.k >> np.uint64(32 + a)) & one
-    xb = (t.k >> np.uint64(32 + b)) & one
-    flip = xa & xb & ((t.k >> np.uint64(a)) ^ (t.k >> np.uint64(b)))
+def _apply_cz_layer(t: _TermArrays, edges: Sequence[Tuple[int, int]]) -> _TermArrays:
+    """Conjugate by every CZ of one layer at once.
+
+    CZ_E X^x Z^z CZ_E = (-1)^e(x) X^x Z^(z ^ M x), with M the adjacency
+    matrix of the edges E and e(x) the number of edges inside supp(x).  For
+    P = i^(x.z) X^x Z^z that makes the new coefficient sign
+    (-1)^(e(x) + (x.z - x.z')/2) for z' = z ^ M x.  M x and the parity of
+    e(x) are linear in x over GF(2); they come from one 256-entry table per
+    byte of x, whose words hold M x in the low half and, in the high half,
+    U x for U the edges to higher qubits, so that e(x) = x.(U x) mod 2.
+    """
+    rows = [0] * MAX_PROP_QUBITS  # row q: N(q) low, the neighbours above q high
+    for a, b in edges:
+        lo, hi = min(a, b), max(a, b)
+        rows[lo] |= (1 << hi) | (1 << (hi + 32))
+        rows[hi] |= 1 << lo
+    x = t.k >> np.uint64(32)
+    words = np.zeros(len(t), dtype=np.uint64)
+    for first in range(0, MAX_PROP_QUBITS, 8):
+        byte_rows = rows[first:first + 8]
+        if not any(byte_rows):
+            continue
+        table = [0]
+        for row in byte_rows:  # each bit doubles the table
+            table += [w ^ row for w in table]
+        words ^= np.array(table, dtype=np.uint64)[(x >> np.uint64(first)) & np.uint64(0xFF)]
+    k = t.k ^ (words & _Z_MASK)
+    # bit 1 of x.z + 2 x.(U x) - x.z' is the sign; uint8 wraps modulo 256,
+    # which keeps it
+    ph = (np.bitwise_count(x & t.k) + 2 * np.bitwise_count(x & (words >> np.uint64(32)))
+          - np.bitwise_count(x & k))
+    flip = (ph & np.uint8(2)).astype(np.uint64) << np.uint64(62)
     # negate the flipped coefficients by toggling their sign bit
-    c = (t.c.view(np.uint64) ^ (flip << np.uint64(63))).view(np.float64)
-    return _TermArrays(t.k ^ (xb << np.uint64(a)) ^ (xa << np.uint64(b)), c, t.s)
+    c = (t.c.view(np.uint64) ^ flip).view(np.float64)
+    return _TermArrays(k, c, t.s)
 
 
 def _truncate(t: _TermArrays, pol: TruncationPolicy, report: PropagationReport) -> _TermArrays:
@@ -204,20 +235,29 @@ def propagate(circuit: Circuit, observable: PauliSum,
     for term in observable:
         if term.string.n != circuit.n:
             raise ValueError("observable qubit count differs from circuit")
-    gates = list(circuit.gates())
     report = PropagationReport(expectation=0.0)
     t = _TermArrays.from_sum(observable)
+    # whether the terms may hold some that _truncate would drop: always at the
+    # start, after a split, and after a CZ layer under a weight cutoff (a CZ
+    # layer changes weights, but no sine count, |c| or term count)
+    untruncated = True
     start = time.monotonic()
-    for gate in reversed(gates):
-        if gate.kind == "CZ":
-            t = _apply_cz(t, *gate.qubits)
-        elif gate.kind in ROTATION_KINDS:
-            t = _apply_rotation(t, gate.generator(circuit.n), gate.angle)
-            t = _truncate(t, policy, report)
-        else:
-            raise ValueError(f"unknown gate kind {gate.kind!r}")
-        report.terms_per_step.append(len(t))
-        report.peak_terms = max(report.peak_terms, len(t))
+    for layer in reversed(circuit.layers):
+        if isinstance(layer, CZLayer):
+            if layer.edges:
+                t = _apply_cz_layer(t, layer.edges)
+                untruncated |= policy.weight_cutoff is not None
+                report.terms_per_step += [len(t)] * len(layer.edges)
+                report.peak_terms = max(report.peak_terms, len(t))
+            continue
+        for gate in reversed(list(layer_gates(layer, circuit.theta))):
+            out = _apply_rotation(t, gate.generator(circuit.n), gate.angle)
+            if untruncated or out is not t:  # else _truncate would return t as it is
+                out = _truncate(out, policy, report)
+                untruncated = False
+            t = out
+            report.terms_per_step.append(len(t))
+            report.peak_terms = max(report.peak_terms, len(t))
     report.wall_time = time.monotonic() - start
     zmask = t.k <= _Z_MASK  # no X or Y letter
     report.expectation = float(np.sum(t.c[zmask]))

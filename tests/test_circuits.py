@@ -143,6 +143,8 @@ def test_param_ids_unique():
     BrickLayer(((0.0, 1),), (tuple(range(15)),)),
     BrickLayer(((0, 1),), ((0.0,) + tuple(range(1, 15)),)),  # a float parameter index
     RotationLayer("X", "zzz", (0.1,) * 4),  # neither resampled nor trained
+    RotationLayer("X", "gen", (True, False, 0.1, 0.2)),  # would run as 1 and 0 radian
+    RotationLayer("Y", "gen", (0.1, np.True_, 0.0, 0.0)),
 ])
 def test_circuit_rejects_malformed_layers(layer):
     with pytest.raises(ValueError):
@@ -150,7 +152,8 @@ def test_circuit_rejects_malformed_layers(layer):
 
 
 @pytest.mark.parametrize("n, theta", [(2.0, ()), (-1, ()), (0, ()), (True, ()),
-                                      (2, np.zeros((1, 2)))])
+                                      (2, np.zeros((1, 2))), (2, [True, 0.5]),
+                                      (2, np.array([False, True]))])
 def test_circuit_rejects_bad_qubit_count_and_theta(n, theta):
     with pytest.raises(ValueError):
         Circuit(n, (), theta)
@@ -164,6 +167,8 @@ def test_circuit_rejects_non_finite_theta():
         Circuit(2, (layer,), theta)
     with pytest.raises(ValueError):
         build_trainable(2, 1, init="zeros").with_theta(np.full(15, np.inf))
+    with pytest.raises(ValueError):  # would run as a 1-radian angle
+        build_trainable(2, 1, init="zeros").with_theta([True] + [0.0] * 14)
 
 
 def brick_cone(n, depth, support):

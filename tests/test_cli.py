@@ -120,8 +120,11 @@ _BRICK_IDS = list(range(15))
     {"n": 0, "theta": [], "layers": []},
     {"n": 4, "theta": [], "layers": [{**_ROT4, "role": "zzz"}]},
     {"n": 4, "theta": [[0.0] * 15], "layers": [_ROT4]},
+    {"n": 4, "theta": [], "layers": [{**_ROT4, "angles": [True, False, 0.1, 0.1]}]},
+    {"n": 4, "theta": [True] + [0.0] * 14, "layers": [
+        _ROT4, {"type": "brick", "pairs": [[0, 1]], "param_ids": [_BRICK_IDS]}]},
 ], ids=["float_edge", "bool_edge", "float_param_id", "float_n", "negative_n", "zero_n",
-        "unknown_role", "2d_theta"])
+        "unknown_role", "2d_theta", "bool_angles", "bool_theta"])
 @pytest.mark.parametrize("command", [["features", "--tau2", "0.1", "--samples", "2"],
                                      ["features", "--tau2", "0.1", "--samples", "2",
                                       "--backend", "propagation"],

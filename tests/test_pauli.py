@@ -1,8 +1,9 @@
 """Pauli observables and the array kernels of the propagation engine.
 
-``_apply_rotation``, ``_apply_cz``, ``_merge`` and ``_truncate`` are the
-kernels that ``propagate`` runs; they are checked here against dense matrices
-and against their ordering contracts.
+``_apply_rotation``, ``_apply_cz_layer``, ``_merge`` and ``_truncate`` are
+the kernels that ``propagate`` runs; they are checked here against dense
+matrices and against their ordering contracts.  The CZ layer kernel is also
+checked bitwise against ``reference_cz``, a per-gate kernel.
 """
 
 import math
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 from qgenbench.circuits import Circuit, Gate, ROTATION_KINDS
 from qgenbench.pauli import PauliDimensionError, PauliString, PauliSum, PauliTerm
 from qgenbench.propagation import (PropagationReport, TruncationPolicy, _TermArrays,
-                                   _apply_cz, _apply_rotation, _merge, _truncate,
-                                   propagate)
+                                   _apply_cz_layer, _apply_rotation, _merge,
+                                   _truncate, propagate)
 from qgenbench.statevector import dense_pauli_matrix
 
 LETTERS = "IXYZ"
@@ -147,33 +148,107 @@ def test_conjugate_rotation_bad_generator():
         Gate("CZ", (0, 1)).generator(2)
 
 
-@pytest.mark.parametrize("label,expected_sign,expected", [
-    ("XI", 1, "XZ"),
-    ("ZI", 1, "ZI"),
-    ("XX", 1, "YY"),
-])
-def test_conjugate_cz_rules(label, expected_sign, expected):
-    out = terms_of(_apply_cz(single(label), 0, 1), 2)
+def reference_cz(t, a, b):
+    """One CZ gate on engine arrays: about eight passes over every term."""
+    one = np.uint64(1)
+    xa = (t.k >> np.uint64(32 + a)) & one
+    xb = (t.k >> np.uint64(32 + b)) & one
+    flip = xa & xb & ((t.k >> np.uint64(a)) ^ (t.k >> np.uint64(b)))
+    # negate the flipped coefficients by toggling their sign bit
+    c = (t.c.view(np.uint64) ^ (flip << np.uint64(63))).view(np.float64)
+    return _TermArrays(t.k ^ (xb << np.uint64(a)) ^ (xa << np.uint64(b)), c, t.s)
+
+
+def layer_unitary(n, edges):
+    u = np.eye(2**n)
+    for a, b in edges:
+        u = cz_unitary(n, a, b) @ u
+    return u
+
+
+TRIANGLE = ((0, 1), (1, 2), (2, 0))
+
+
+@pytest.mark.parametrize("label,edges,expected_sign,expected", [
+    ("XI", ((0, 1),), 1, "XZ"),
+    ("ZI", ((0, 1),), 1, "ZI"),
+    ("XX", ((0, 1),), 1, "YY"),
+    ("XX", ((1, 0),), 1, "YY"),
+    ("YX", ((0, 1),), -1, "XY"),
+    ("XXX", TRIANGLE, -1, "XXX"),  # each edge inside supp(x) adds a sign
+    ("XIX", TRIANGLE, 1, "YIY"),
+    ("XYZ", (), 1, "XYZ"),
+], ids=["XI-1-XZ", "ZI-1-ZI", "XX-1-YY", "XX-1-YY-reversed", "YX--1-XY", "XXX--1-XXX-triangle",
+        "XIX-1-YIY-triangle", "XYZ-1-XYZ-empty"])
+def test_conjugate_cz_rules(label, edges, expected_sign, expected):
+    out = terms_of(_apply_cz_layer(single(label), edges), len(label))
     assert out == {expected: (float(expected_sign), 0)}
 
 
 def test_conjugate_cz_matches_dense():
     rng = np.random.default_rng(3)
     n = 4
-    for _ in range(30):
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    for _ in range(40):
         t = rand_arrays(rng, n, 6)
-        a, b = (int(q) for q in rng.choice(n, 2, replace=False))
-        cz = cz_unitary(n, a, b)
-        assert np.allclose(dense(_apply_cz(t, a, b), n), cz @ dense(t, n) @ cz, atol=1e-12)
+        edges = tuple(pair[::-1] if rng.random() < 0.5 else pair
+                      for pair in pairs if rng.random() < 0.5)
+        u = layer_unitary(n, edges)
+        assert np.allclose(dense(_apply_cz_layer(t, edges), n), u @ dense(t, n) @ u, atol=1e-12)
 
 
 def test_conjugate_cz_involution():
     rng = np.random.default_rng(4)
-    for _ in range(50):
-        t = rand_arrays(rng, 5, 8)
-        back = _apply_cz(_apply_cz(t, 1, 3), 1, 3)
-        for field in ("k", "c", "s"):
-            assert np.array_equal(getattr(back, field), getattr(t, field))
+    for edges in (((1, 3),), ((0, 1), (1, 2), (2, 0)), ((2, 0), (2, 1), (2, 3), (2, 4))):
+        for _ in range(20):
+            t = rand_arrays(rng, 5, 8)
+            back = _apply_cz_layer(_apply_cz_layer(t, edges), edges)
+            for field in ("k", "c", "s"):
+                assert np.array_equal(getattr(back, field), getattr(t, field))
+
+
+@st.composite
+def cz_layers(draw, n):
+    """Empty, triangle, star, complete or random edge sets on n qubits, in
+    any order and orientation."""
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    shapes = ["empty", "star", "complete", "random"] + (["triangle"] if n >= 3 else [])
+    shape = draw(st.sampled_from(shapes))
+    if shape == "empty" or n == 1:
+        return ()
+    order = draw(st.permutations(range(n)))
+    if shape == "triangle":
+        edges = [(order[0], order[1]), (order[1], order[2]), (order[0], order[2])]
+    elif shape == "star":
+        edges = [(order[0], leaf) for leaf in order[1:draw(st.integers(2, n))]]
+    elif shape == "complete":
+        edges = pairs
+    else:
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    edges = draw(st.permutations(edges))
+    return tuple(e[::-1] if draw(st.booleans()) else e for e in edges)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_cz_layer_matches_gate_by_gate_bitwise(data):
+    # n up to 32 reaches every byte of the packed x half
+    n = data.draw(st.integers(1, 32))
+    masks = st.integers(0, 2**n - 1)
+    strings = data.draw(st.lists(st.tuples(masks, masks), unique=True, max_size=12))
+    coeffs = st.floats(-2.0, 2.0, allow_nan=False)
+    t = _TermArrays([(x << 32) | z for x, z in strings],
+                    data.draw(st.lists(coeffs, min_size=len(strings), max_size=len(strings))),
+                    data.draw(st.lists(st.integers(0, 5), min_size=len(strings),
+                                       max_size=len(strings))))
+    edges = data.draw(cz_layers(n))
+    want = t
+    for a, b in edges:
+        want = reference_cz(want, a, b)
+    got = _apply_cz_layer(t, edges)
+    assert np.array_equal(got.k, want.k)
+    assert np.array_equal(got.c.view(np.uint64), want.c.view(np.uint64))
+    assert np.array_equal(got.s, want.s)
 
 
 def test_conjugate_rotation_split():
@@ -227,7 +302,7 @@ def test_norm_and_hermiticity_through_gates():
             t = _apply_rotation(t, gate.generator(n), gate.angle)
         else:
             a, b = rng.choice(n, 2, replace=False)
-            t = _apply_cz(t, int(a), int(b))
+            t = _apply_cz_layer(t, ((int(a), int(b)),))
         assert norm_sq(t) <= norm0 + 1e-12
         assert t.c.dtype == np.float64  # real coefficients: the sum stays Hermitian
 
@@ -298,7 +373,7 @@ def test_rotation_returns_increasing_keys():
         t = rand_arrays(rng, n, 12)
         assert increasing(t.k)
         a, b = (int(q) for q in rng.choice(n, 2, replace=False))
-        shuffled = _apply_cz(t, a, b)  # CZ permutes keys out of order
+        shuffled = _apply_cz_layer(t, ((a, b),))  # CZ permutes keys out of order
         for start in (t, shuffled):
             gate = rand_rotation(rng, n)
             out = _apply_rotation(start, gate.generator(n), gate.angle)

@@ -166,8 +166,10 @@ ANGLES = st.floats(-1.6, 1.6, allow_nan=False)
 
 @st.composite
 def random_circuits(draw, max_n=6, angles=ANGLES):
-    """Up to 5 layers of X/Y/Z rotations, CZ edges and bricks on any disjoint
-    pairs (reversed and non-adjacent included), n from 2 to `max_n`."""
+    """Up to 5 layers of X/Y/Z rotations, CZ layers and bricks, n from 2 to
+    `max_n`.  A CZ layer is any edge set, edges sharing qubits and listed in
+    either orientation; bricks sit on disjoint pairs from a random qubit
+    permutation, so they are reversed and non-adjacent as often as not."""
     n = draw(st.integers(2, max_n))
     layers, num_params = [], 0
     for kind in draw(st.lists(st.sampled_from(["rot", "cz", "brick"]), min_size=1,
@@ -176,13 +178,15 @@ def random_circuits(draw, max_n=6, angles=ANGLES):
             layer_angles = draw(st.lists(angles, min_size=n, max_size=n))
             layers.append(RotationLayer(draw(st.sampled_from("XYZ")), "gen",
                                         tuple(layer_angles)))
-            continue
-        order = draw(st.permutations(range(n)))
-        pairs = [(order[2 * i], order[2 * i + 1]) for i in range(n // 2)]
-        if kind == "cz":
-            layers.append(CZLayer(tuple(draw(st.lists(st.sampled_from(pairs), unique=True)))))
+        elif kind == "cz":
+            edges = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            chosen = draw(st.lists(st.sampled_from(edges), unique=True))
+            layers.append(CZLayer(tuple(e[::-1] if draw(st.booleans()) else e
+                                        for e in chosen)))
         else:
-            pairs = pairs[:draw(st.integers(1, len(pairs)))]
+            order = draw(st.permutations(range(n)))
+            pairs = [(order[2 * i], order[2 * i + 1])
+                     for i in range(draw(st.integers(1, n // 2)))]
             ids = tuple(tuple(range(num_params + BRICK_PARAMS * i,
                                     num_params + BRICK_PARAMS * (i + 1)))
                         for i in range(len(pairs)))
@@ -377,6 +381,23 @@ def test_propagate_matches_reference_bitwise(data):
         assert_same_report(circ, obs, policy)
 
 
+@given(st.data())
+@settings(max_examples=40)
+def test_cz_layer_signs_match_reference_in_exact_mode(data):
+    # an X or Y rotation layer then a CZ layer ahead of a random circuit: the
+    # rotations turn Y or X letters into Z, so untruncated, a wrong CZ-layer
+    # sign reaches the expectation; at most 4**5 terms keep this cheap
+    tail = data.draw(random_circuits(max_n=5, angles=SNAPPED_ANGLES))
+    n = tail.n
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    head = (RotationLayer(data.draw(st.sampled_from("XY")), "gen",
+                          tuple(data.draw(st.lists(ANGLES, min_size=n, max_size=n)))),
+            CZLayer(tuple(data.draw(st.lists(st.sampled_from(pairs), min_size=1,
+                                             unique=True)))))
+    circ = Circuit(n, head + tail.layers, tail.theta)
+    assert_same_report(circ, data.draw(random_observables(n)), EXACT)
+
+
 @pytest.mark.parametrize("trial", [0, 3])
 def test_propagate_matches_reference_at_workload_cap(trial):
     # hypothesis sizes never reach the 2**14-term cap of the n = 24 study
@@ -386,3 +407,31 @@ def test_propagate_matches_reference_at_workload_cap(trial):
     policy = TruncationPolicy(sine_cutoff=sine_cutoff_default(n), max_terms=2**14)
     assert_same_report(circ, z_obs(n), policy)
     assert max(propagate(circ, z_obs(n), policy).terms_per_step) == 2**14
+
+
+def test_weight_cutoff_sees_a_cz_layer_before_a_commuting_rotation():
+    # backward: the last RX layer commutes with X_0 and truncates nothing;
+    # CZ(0, 1) makes it X_0 Z_1, above the cutoff; the first RX on qubit 2
+    # commutes with that too, and must still drop it
+    rx = RotationLayer("X", "gen", (0.3, 0.2, 0.1))
+    circ = Circuit(3, (rx, CZLayer(((0, 1),)), rx))
+    obs = PauliSum(3, [PauliTerm(1.0, PauliString.from_label("XII"))])
+    policy = TruncationPolicy(weight_cutoff=1)
+    rep = propagate(circ, obs, policy)
+    assert rep.terms_per_step == [1, 1, 1, 1, 0, 0, 0]
+    assert rep.dropped_mass == 1.0
+    assert rep.expectation == 0.0
+    assert_same_report(circ, obs, policy)
+
+
+@pytest.mark.parametrize("policy", [TruncationPolicy(weight_cutoff=1),
+                                    TruncationPolicy(weight_cutoff=1, max_terms=8)])
+def test_observable_above_weight_cutoff_dropped_at_first_rotation(policy):
+    # the first rotation commutes with the observable, which still exceeds
+    # the cutoff and must go before any other gate is applied
+    circ = Circuit(2, (RotationLayer("Y", "gen", (0.4, 0.5)),))
+    obs = PauliSum(2, [PauliTerm(0.75, PauliString.from_label("YY"))])
+    rep = propagate(circ, obs, policy)
+    assert rep.terms_per_step == [0, 0]
+    assert rep.dropped_mass == 0.75
+    assert_same_report(circ, obs, policy)
