@@ -67,14 +67,10 @@ class RotationLayer:
     role: str
     angles: Tuple[float, ...]
 
-    kind = "rot"
-
 
 @dataclass(frozen=True)
 class CZLayer:
     edges: Tuple[Tuple[int, int], ...]
-
-    kind = "cz"
 
     def __post_init__(self):
         seen = set()
@@ -91,8 +87,6 @@ class CZLayer:
 class BrickLayer:
     pairs: Tuple[Tuple[int, int], ...]
     param_ids: Tuple[Tuple[int, ...], ...]  # 15 ids per brick
-
-    kind = "brick"
 
     def __post_init__(self):
         used: Set[int] = set()

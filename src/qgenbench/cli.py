@@ -20,7 +20,7 @@ from . import __version__
 from .circuits import (Circuit, GenerativeSpec, RotationLayer, build_generative,
                        build_trainable, circuit_from_json, circuit_to_json,
                        concatenate, default_p, resolve_tau2)
-from .experiments import (CSV_COLUMNS, ConfigError, ExperimentConfig, check_p, check_qubits,
+from .experiments import (ConfigError, ExperimentConfig, check_p, check_qubits,
                           check_size, check_tau2, read_csv, run_experiment, write_csv)
 from .pauli import PauliString, PauliSum, PauliTerm
 from .propagation import (ResourceLimitError, TruncationPolicy, benchmark_propagation,
@@ -277,7 +277,7 @@ def cmd_pauliprop_bench(args) -> int:
                                                  trainable_depth=config.trainable_depth)]
     except ResourceLimitError as exc:
         raise ConfigError(str(exc))
-    write_csv(args.out, rows, CSV_COLUMNS["pauliprop"])
+    write_csv(args.out, rows)
     _info(args, f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
@@ -287,7 +287,7 @@ def cmd_graph_stats(args) -> int:
                               trials=args.trials, seed=args.seed)
     rows = treewidth_trend(config.ns, config.trials, config.seed, p=config.p,
                            layers=config.layers)
-    write_csv(args.out, rows, CSV_COLUMNS["treewidth"])
+    write_csv(args.out, rows)
     _info(args, f"wrote {args.out} ({len(rows)} rows)")
     return 0
 

@@ -336,17 +336,6 @@ def lightcone_spread_experiment(config: ExperimentConfig) -> List[dict]:
     return rows
 
 
-CSV_COLUMNS = {
-    "subvolume": ["n", "L", "tau2", "S", "trials", "mean_tr_sq", "se_tr_sq",
-                  "mean_I2", "se_I2", "bound", "pass", "mean_gap"],
-    "gradvar": ["n", "depth", "trials", "variance", "se", "slope_fit", "arm"],
-    "lightcone": ["n", "L", "p", "trials", "mean_frac", "min_frac"],
-    "pauliprop": ["n", "trial", "policy_id", "expectation", "error_vs_exact",
-                  "peak_terms", "final_terms", "dropped_mass", "wall_time_s"],
-    "treewidth": ["n", "trial", "layers", "edges", "degeneracy_lb", "minfill_ub"],
-}
-
-
 def _format_cell(value) -> str:
     if value is None:
         return ""
@@ -355,7 +344,10 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, rows: List[dict], columns: List[str]) -> None:
+def write_csv(path: str, rows: List[dict], columns: Optional[Sequence[str]] = None) -> None:
+    """`rows` under `columns`, by default the first row's keys: every driver
+    emits at least one row, with its columns in order."""
+    columns = list(rows[0]) if columns is None else columns
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -395,7 +387,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> Dict[str, str]:
 
     rows = drivers[config.experiment](config)
     csv_path = os.path.join(out_dir, f"{config.experiment}.csv")
-    write_csv(csv_path, rows, CSV_COLUMNS[config.experiment])
+    write_csv(csv_path, rows)
     manifest = {
         "version": f"qgenbench-{VERSION}",
         "config": config.to_json_obj(),

@@ -7,13 +7,12 @@ on |0...0>.  Terms are held in flat numpy arrays: one packed uint64 key
 coefficient and the sine count.  A rotation scales the cosine branch of the
 anticommuting terms and merges their sine branch into the terms with one
 stable sort, which runs in linear time because both parts are sorted runs.
-Truncation runs after each rotation that split a term, and after any
-rotation while the terms may hold what it would drop; the term cap finds
-its threshold with ``np.partition``.  A CZ layer creates no new terms: its
-gates commute, so the whole layer is one Clifford map of the keys,
-z <- z ^ M x with M the layer's adjacency matrix, plus one closed-form
-sign; the keys come out permuted, and the next rotation that splits terms
-sorts them again.
+Truncation runs once on the observable and then after each rotation that
+splits a term; the term cap finds its threshold with ``np.partition``.  A
+CZ layer creates no new terms: its gates commute, so the whole layer is one
+Clifford map of the keys, z <- z ^ M x with M the layer's adjacency matrix,
+plus one closed-form sign; the keys come out permuted, and the next
+rotation that splits terms sorts them again.
 
 Rotation gates follow the generator convention R(g) = exp(-i*g*G) with G a
 Pauli, so conjugating an anticommuting string P gives
@@ -23,6 +22,7 @@ cos(2g)*P + sin(2g)*(iGP); the sine branch increments the term's sine count.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -47,20 +47,23 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """What `propagate` drops after rotation gates; one policy holds for the run."""
+    """What `propagate` drops from the observable and after each rotation
+    that splits a term; one policy holds for the run."""
 
     sine_cutoff: Optional[int] = None
-    coeff_threshold: Optional[float] = None
-    weight_cutoff: Optional[int] = None
     max_terms: Optional[int] = None
     exact: bool = False
 
     def __post_init__(self):
-        lossy = [name for name in ("sine_cutoff", "coeff_threshold", "weight_cutoff")
-                 if getattr(self, name) is not None]
-        if self.exact and lossy:
-            raise ValueError(f"exact mode keeps every term; it takes no {', '.join(lossy)}")
-        if not self.exact and not lossy and self.max_terms is None:
+        for name, least in (("sine_cutoff", 0), ("max_terms", 1)):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if self.exact and self.sine_cutoff is not None:
+            raise ValueError("exact mode keeps every term; it takes no sine_cutoff")
+        if not self.exact and self.sine_cutoff is None and self.max_terms is None:
             raise ValueError("set at least one truncation criterion or exact=True")
 
     @classmethod
@@ -203,16 +206,11 @@ def _truncate(t: _TermArrays, pol: TruncationPolicy, report: PropagationReport) 
             raise ResourceLimitError(
                 f"exact mode exceeded max_terms={pol.max_terms} ({len(t)} terms)", report)
         return t
-    drop = np.zeros(len(t), dtype=bool)
     if pol.sine_cutoff is not None:
-        drop |= t.s > pol.sine_cutoff
-    if pol.coeff_threshold is not None:
-        drop |= np.abs(t.c) < pol.coeff_threshold
-    if pol.weight_cutoff is not None:
-        drop |= np.bitwise_count((t.k >> np.uint64(32)) | (t.k & _Z_MASK)) > pol.weight_cutoff
-    if drop.any():
-        report.dropped_mass += float(np.sum(np.abs(t.c[drop])))
-        t = t.take(np.flatnonzero(~drop))
+        drop = t.s > pol.sine_cutoff
+        if drop.any():
+            report.dropped_mass += float(np.sum(np.abs(t.c[drop])))
+            t = t.take(np.flatnonzero(~drop))
     if pol.max_terms is not None and len(t) > pol.max_terms:
         # keep the max_terms largest |c|, ties going to the lower index: the
         # set a stable descending sort would keep
@@ -237,24 +235,23 @@ def propagate(circuit: Circuit, observable: PauliSum,
             raise ValueError("observable qubit count differs from circuit")
     report = PropagationReport(expectation=0.0)
     t = _TermArrays.from_sum(observable)
-    # whether the terms may hold some that _truncate would drop: always at the
-    # start, after a split, and after a CZ layer under a weight cutoff (a CZ
-    # layer changes weights, but no sine count, |c| or term count)
-    untruncated = True
     start = time.monotonic()
+    # the observable is truncated once; after that only a split can give
+    # _truncate work, as a CZ layer, or a rotation that splits nothing,
+    # changes no sine count, |c| or term count
+    t = _truncate(t, policy, report)
     for layer in reversed(circuit.layers):
         if isinstance(layer, CZLayer):
             if layer.edges:
                 t = _apply_cz_layer(t, layer.edges)
-                untruncated |= policy.weight_cutoff is not None
                 report.terms_per_step += [len(t)] * len(layer.edges)
                 report.peak_terms = max(report.peak_terms, len(t))
             continue
         for gate in reversed(list(layer_gates(layer, circuit.theta))):
             out = _apply_rotation(t, gate.generator(circuit.n), gate.angle)
-            if untruncated or out is not t:  # else _truncate would return t as it is
+            if out is not t:
+                # rebinding out frees the merged terms before the next gate
                 out = _truncate(out, policy, report)
-                untruncated = False
             t = out
             report.terms_per_step.append(len(t))
             report.peak_terms = max(report.peak_terms, len(t))
@@ -324,10 +321,6 @@ def _policy_id(policy: TruncationPolicy) -> str:
     parts = []
     if policy.sine_cutoff is not None:
         parts.append(f"sine{policy.sine_cutoff}")
-    if policy.coeff_threshold is not None:
-        parts.append(f"coeff{policy.coeff_threshold:g}")
-    if policy.weight_cutoff is not None:
-        parts.append(f"w{policy.weight_cutoff}")
     if policy.max_terms is not None:
         parts.append(f"max{policy.max_terms}")
     return "-".join(parts)

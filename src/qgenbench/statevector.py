@@ -220,13 +220,8 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
 
 def _resolve_theta(circuit: Circuit, theta) -> np.ndarray:
-    """`theta`, checked as Circuit checks its own, or the circuit's theta."""
-    if theta is None:
-        return circuit.theta
-    th = np.asarray(theta, dtype=float)
-    if th.shape != circuit.theta.shape or not np.isfinite(th).all():
-        raise ValueError("theta must hold one finite angle per circuit parameter")
-    return th
+    """`theta` through the circuit's own IR check, or the circuit's theta."""
+    return circuit.theta if theta is None else circuit.with_theta(theta).theta
 
 
 def run(circuit: Circuit, theta: Optional[Sequence[float]] = None) -> StateVector:
@@ -266,7 +261,7 @@ def parameter_shift_gradient(circuit: Circuit, param: int, observable: PauliSum,
     The layers before the brick layer holding `param` do not depend on it,
     so they are evolved once and both shifted runs start from a copy.
     """
-    th = np.array(_resolve_theta(circuit, theta), dtype=float)
+    th = _resolve_theta(circuit, theta)
     param = range(len(th))[param]  # IndexError when out of range
     split = next((i for i, layer in enumerate(circuit.layers)
                   if isinstance(layer, BrickLayer)

@@ -9,7 +9,7 @@ import pytest
 from qgenbench.circuits import circuit_from_json
 from qgenbench import cli
 from qgenbench.cli import main
-from qgenbench.experiments import CSV_COLUMNS, ExperimentConfig, read_csv, write_csv
+from qgenbench.experiments import ExperimentConfig, read_csv, write_csv
 from qgenbench.propagation import benchmark_propagation
 
 
@@ -308,7 +308,7 @@ def test_pauliprop_bench_default_policy_matches_driver(tmp_path):
     assert run_cli("pauliprop-bench", "--ns", "8,12,8", "--trials", "2", "--seed", "3",
                    "--out", out, "--quiet") == 0
     want = str(tmp_path / "want.csv")
-    write_csv(want, benchmark_propagation([8, 12, 8], None, 2, 3), CSV_COLUMNS["pauliprop"])
+    write_csv(want, benchmark_propagation([8, 12, 8], None, 2, 3))
     masked = [{**r, "wall_time_s": None} for r in read_csv(out)]
     assert masked == [{**r, "wall_time_s": None} for r in read_csv(want)]
 

@@ -93,17 +93,6 @@ def test_term_count_growth_cap():
     assert rep.peak_terms <= 4**4
 
 
-def test_weight_and_coeff_criteria():
-    circ = full_model(6, 7)
-    obs = z_obs(6)
-    rep_w = propagate(circ, obs, TruncationPolicy(weight_cutoff=2))
-    rep_c = propagate(circ, obs, TruncationPolicy(coeff_threshold=0.05))
-    exact = sv.expectation(sv.run(circ), obs)
-    for rep in (rep_w, rep_c):
-        assert abs(rep.expectation - exact) <= rep.dropped_mass + 1e-9
-        assert rep.dropped_mass > 0.0
-
-
 def test_max_terms_keeps_largest():
     circ = full_model(6, 9)
     rep = propagate(circ, z_obs(6), TruncationPolicy(max_terms=32))
@@ -123,14 +112,33 @@ def test_policy_requires_criterion():
         TruncationPolicy()
 
 
-@pytest.mark.parametrize("criterion", [{"sine_cutoff": 0}, {"coeff_threshold": 0.1},
-                                       {"weight_cutoff": 2}])
+@pytest.mark.parametrize("criterion", [{"sine_cutoff": 0}])
 def test_exact_policy_rejects_lossy_criteria(criterion):
     # exact mode would keep every term and ignore the criterion
     with pytest.raises(ValueError, match="exact mode"):
         TruncationPolicy(exact=True, **criterion)
     with pytest.raises(ValueError, match="exact mode"):
         TruncationPolicy(exact=True, max_terms=64, **criterion)
+
+
+@pytest.mark.parametrize("fields", [{"max_terms": 0}, {"max_terms": -3}, {"max_terms": True},
+                                    {"max_terms": 8.0}, {"max_terms": "8"},
+                                    {"sine_cutoff": -1}, {"sine_cutoff": True},
+                                    {"sine_cutoff": 1.5}, {"exact": True, "max_terms": 0},
+                                    {"exact": True, "max_terms": False}])
+def test_policy_rejects_bad_values(fields):
+    # each used to pass: a zero cap failed later inside np.partition, a
+    # negative cutoff dropped every term and a True cap capped at 1
+    with pytest.raises(ValueError, match="must be an integer"):
+        TruncationPolicy(**fields)
+
+
+def test_policy_takes_numpy_integers():
+    circ, obs = full_model(6, 3), z_obs(6)
+    want = propagate(circ, obs, TruncationPolicy(sine_cutoff=1, max_terms=16))
+    got = propagate(circ, obs, TruncationPolicy(sine_cutoff=np.int64(1), max_terms=np.int64(16)))
+    assert (got.expectation, got.dropped_mass, got.terms_per_step) == \
+        (want.expectation, want.dropped_mass, want.terms_per_step)
 
 
 def test_policy_id_marks_schedule_after_exact():
@@ -140,9 +148,8 @@ def test_policy_id_marks_schedule_after_exact():
            for pol in (TruncationPolicy.exact_mode(),
                        TruncationPolicy(exact=True, max_terms=64),
                        TruncationPolicy(sine_cutoff=2),
-                       TruncationPolicy(sine_cutoff=2, coeff_threshold=0.01,
-                                        weight_cutoff=3, max_terms=64))]
-    assert ids == ["exact", "exact", "sine2", "sine2-coeff0.01-w3-max64"]
+                       TruncationPolicy(sine_cutoff=2, max_terms=64))]
+    assert ids == ["exact", "exact", "sine2", "sine2-max64"]
 
 
 def test_zero_angle_circuit_exact_despite_cutoff():
@@ -218,10 +225,8 @@ def test_propagation_matches_statevector_on_random_circuits(data):
 
     policies = [
         TruncationPolicy(sine_cutoff=data.draw(st.integers(0, 3))),
-        TruncationPolicy(coeff_threshold=data.draw(st.floats(1e-3, 0.5))),
-        TruncationPolicy(weight_cutoff=data.draw(st.integers(0, n))),
         TruncationPolicy(max_terms=data.draw(st.integers(1, 64))),
-        TruncationPolicy(weight_cutoff=data.draw(st.integers(0, n)),
+        TruncationPolicy(sine_cutoff=data.draw(st.integers(0, 3)),
                          max_terms=data.draw(st.integers(1, 64))),
     ]
     for policy in policies:
@@ -303,10 +308,6 @@ def _ref_truncate(t, pol, report):
     drop = np.zeros(len(t), dtype=bool)
     if pol.sine_cutoff is not None:
         drop |= t.s > pol.sine_cutoff
-    if pol.coeff_threshold is not None:
-        drop |= np.abs(t.c) < pol.coeff_threshold
-    if pol.weight_cutoff is not None:
-        drop |= np.bitwise_count(t.x | t.z) > pol.weight_cutoff
     if drop.any():
         report.dropped_mass += float(np.sum(np.abs(t.c[drop])))
         t = t.take(~drop)
@@ -325,6 +326,7 @@ def reference_propagate(circuit, observable, policy):
     t = _ref_merge(_RefTerms([p.string.x for p in terms], [p.string.z for p in terms],
                              [p.coefficient for p in terms], [0] * len(terms)))
     report = PropagationReport(expectation=0.0)
+    t = _ref_truncate(t, policy, report)
     for gate in reversed(list(circuit.gates())):
         if gate.kind == "CZ":
             t = _ref_cz(t, *gate.qubits)
@@ -370,12 +372,8 @@ def test_propagate_matches_reference_bitwise(data):
     policies = [
         TruncationPolicy.exact_mode(max_terms=data.draw(st.integers(1, 512))),
         TruncationPolicy(sine_cutoff=data.draw(st.integers(0, 2))),
-        TruncationPolicy(coeff_threshold=data.draw(st.floats(0.01, 0.5))),
-        TruncationPolicy(weight_cutoff=data.draw(st.integers(0, 2))),
         TruncationPolicy(max_terms=data.draw(cap)),
-        TruncationPolicy(sine_cutoff=data.draw(st.integers(0, 3)), max_terms=data.draw(cap),
-                         coeff_threshold=data.draw(st.sampled_from([None, 0.05]))),
-        TruncationPolicy(weight_cutoff=data.draw(st.integers(0, n)), max_terms=data.draw(cap)),
+        TruncationPolicy(sine_cutoff=data.draw(st.integers(0, 3)), max_terms=data.draw(cap)),
     ]
     for policy in policies:
         assert_same_report(circ, obs, policy)
@@ -409,29 +407,30 @@ def test_propagate_matches_reference_at_workload_cap(trial):
     assert max(propagate(circ, z_obs(n), policy).terms_per_step) == 2**14
 
 
-def test_weight_cutoff_sees_a_cz_layer_before_a_commuting_rotation():
-    # backward: the last RX layer commutes with X_0 and truncates nothing;
-    # CZ(0, 1) makes it X_0 Z_1, above the cutoff; the first RX on qubit 2
-    # commutes with that too, and must still drop it
-    rx = RotationLayer("X", "gen", (0.3, 0.2, 0.1))
-    circ = Circuit(3, (rx, CZLayer(((0, 1),)), rx))
-    obs = PauliSum(3, [PauliTerm(1.0, PauliString.from_label("XII"))])
-    policy = TruncationPolicy(weight_cutoff=1)
+@pytest.mark.parametrize("policy", [TruncationPolicy(max_terms=1),
+                                    TruncationPolicy(sine_cutoff=0, max_terms=1)])
+def test_observable_capped_before_any_gate(policy):
+    # backward, a CZ layer comes first and the Z rotations after it commute
+    # with every term: the cap holds from the first step on
+    circ = Circuit(3, (RotationLayer("Z", "gen", (0.3, 0.2, 0.1)), CZLayer(((0, 1),))))
+    obs = PauliSum(3, [PauliTerm(0.25, PauliString.from_label("ZII")),
+                       PauliTerm(1.0, PauliString.from_label("IZI")),
+                       PauliTerm(-0.125, PauliString.from_label("IIZ"))])
     rep = propagate(circ, obs, policy)
-    assert rep.terms_per_step == [1, 1, 1, 1, 0, 0, 0]
-    assert rep.dropped_mass == 1.0
-    assert rep.expectation == 0.0
+    assert rep.terms_per_step == [1, 1, 1, 1]
+    assert rep.dropped_mass == 0.375
+    assert rep.expectation == 1.0
     assert_same_report(circ, obs, policy)
 
 
-@pytest.mark.parametrize("policy", [TruncationPolicy(weight_cutoff=1),
-                                    TruncationPolicy(weight_cutoff=1, max_terms=8)])
-def test_observable_above_weight_cutoff_dropped_at_first_rotation(policy):
-    # the first rotation commutes with the observable, which still exceeds
-    # the cutoff and must go before any other gate is applied
-    circ = Circuit(2, (RotationLayer("Y", "gen", (0.4, 0.5)),))
-    obs = PauliSum(2, [PauliTerm(0.75, PauliString.from_label("YY"))])
-    rep = propagate(circ, obs, policy)
-    assert rep.terms_per_step == [0, 0]
-    assert rep.dropped_mass == 0.75
+def test_exact_bound_on_observable_raises_before_any_gate():
+    # the CZ layer comes first backward; the bound is checked ahead of it
+    circ = Circuit(2, (RotationLayer("X", "gen", (0.3, 0.2)), CZLayer(((0, 1),))))
+    obs = PauliSum(2, [PauliTerm(0.5, PauliString.from_label("ZI")),
+                       PauliTerm(0.5, PauliString.from_label("IZ"))])
+    policy = TruncationPolicy.exact_mode(max_terms=1)
+    with pytest.raises(ResourceLimitError) as err:
+        propagate(circ, obs, policy)
+    assert err.value.report.terms_per_step == []
+    assert err.value.report.final_terms == 2
     assert_same_report(circ, obs, policy)

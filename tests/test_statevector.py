@@ -134,7 +134,8 @@ def test_parameter_shift_matches_finite_differences():
         assert ps == pytest.approx(fd, abs=1e-6)
 
 
-@pytest.mark.parametrize("bad", [np.full(45, np.nan), np.zeros(44), np.zeros(46)])
+@pytest.mark.parametrize("bad", [np.full(45, np.nan), np.zeros(44), np.zeros(46),
+                                 [True] + [0.0] * 44])
 def test_theta_override_is_checked(bad):
     circ = build_trainable(4, 2, seed=1)  # 3 bricks, 45 parameters
     obs = PauliSum.from_label(1.0, "ZIII")
