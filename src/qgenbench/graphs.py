@@ -51,14 +51,15 @@ def _adjacency_matrix(graph: LayerGraph) -> np.ndarray:
     return adj
 
 
-def _twice_fill(adj: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """2 x (non-adjacent pairs in N(v)) for each v in `rows`: d(d-1) - 2|E(N(v))|.
+def _twice_fill(adj: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Twice the fill and the degree of each v in `rows`.
 
+    Twice the fill is 2 x (non-adjacent pairs in N(v)) = d(d-1) - 2|E(N(v))|.
     Every count is an integer far below 2**53, so float64 holds it exactly.
     """
     sub = adj[rows]
     deg = sub.sum(axis=1)
-    return deg * (deg - 1) - ((sub @ adj) * sub).sum(axis=1)
+    return deg * (deg - 1) - ((sub @ adj) * sub).sum(axis=1), deg
 
 
 def min_fill_width(graph: LayerGraph) -> Tuple[int, EliminationOrder]:
@@ -66,27 +67,41 @@ def min_fill_width(graph: LayerGraph) -> Tuple[int, EliminationOrder]:
 
     Ties go to the lowest vertex index; the width is the largest neighborhood
     met at elimination time.  The graph is held as a dense n x n float64
-    matrix (O(n^2) memory).  Eliminating v only changes the fill of N(v) and
-    of the neighbours of N(v), so only those rows are recounted.
+    matrix (O(n^2) memory).  Twice-fill and degree arrays are counted once
+    and then updated as v, with N = N(v) and k = |N|, is eliminated:
+
+    - v simplicial (fill 0, N a clique): no edge is added, and only N(w) for
+      w in N loses v, which was adjacent to k - 1 of w's other neighbours,
+      so fill[w] -= 2(deg[w] - k) and deg[w] -= 1.
+    - otherwise, with F the k x k block of edges missing inside N and
+      M = adj[:, N], every w loses the new edges inside N(w):
+      fill -= rowsum((M @ F) * M).  After the clique is added and v removed,
+      only the k rows of N are recounted.
     """
     adj = _adjacency_matrix(graph)
-    fill = _twice_fill(adj, np.arange(graph.n))
+    fill, deg = _twice_fill(adj, np.arange(graph.n))
     order: List[int] = []
     width = 0
     for _ in range(graph.n):
         v = int(np.argmin(fill))  # first minimum = lowest index among ties
         nbrs = np.flatnonzero(adj[v])
-        width = max(width, len(nbrs))
-        adj[np.ix_(nbrs, nbrs)] = 1.0
-        adj[nbrs, nbrs] = 0.0
-        adj[v, :] = adj[:, v] = 0.0
+        k = len(nbrs)
+        width = max(width, k)
+        adj[v, nbrs] = adj[nbrs, v] = 0.0
+        if fill[v] == 0:
+            fill[nbrs] -= 2 * (deg[nbrs] - k)
+            deg[nbrs] -= 1
+        else:
+            block = np.ix_(nbrs, nbrs)
+            missing = 1.0 - adj[block]
+            np.fill_diagonal(missing, 0.0)
+            cols = adj[:, nbrs]
+            fill -= ((cols @ missing) * cols).sum(axis=1)
+            adj[block] = 1.0
+            adj[nbrs, nbrs] = 0.0
+            fill[nbrs], deg[nbrs] = _twice_fill(adj, nbrs)
         fill[v] = np.inf
         order.append(v)
-        if len(nbrs):
-            touched = adj[nbrs].any(axis=0)  # adj is symmetric
-            touched[nbrs] = True
-            rows = np.flatnonzero(touched)
-            fill[rows] = _twice_fill(adj, rows)
     return width, EliminationOrder(tuple(order), width)
 
 

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgenbench.circuits import (Circuit, CZLayer, GenerativeSpec, LayerGraph,
-                                build_generative, sample_er_graph)
+                                build_generative, default_layers, default_p,
+                                sample_er_graph)
 from qgenbench.cli import main
 from qgenbench.experiments import read_csv
-from qgenbench.graphs import (degeneracy, interaction_graph, min_fill_width,
-                              treewidth_trend, union_graph)
+from qgenbench.graphs import (_adjacency_matrix, _twice_fill, degeneracy,
+                              interaction_graph, min_fill_width, treewidth_trend,
+                              union_graph)
 from qgenbench.seeding import derive_seed, rng_for
 
 
@@ -66,6 +68,29 @@ def reference_degeneracy(graph):
         adj[v] = 0
         alive &= ~(1 << v)
     return result
+
+
+def reference_recount_min_fill(graph):
+    """The recount kernel that incremental min-fill replaced: after each
+    elimination it recounts every row of N(v) and of their neighbours."""
+    adj = _adjacency_matrix(graph)
+    fill = _twice_fill(adj, np.arange(graph.n))[0]
+    order, width = [], 0
+    for _ in range(graph.n):
+        v = int(np.argmin(fill))
+        nbrs = np.flatnonzero(adj[v])
+        width = max(width, len(nbrs))
+        adj[np.ix_(nbrs, nbrs)] = 1.0
+        adj[nbrs, nbrs] = 0.0
+        adj[v, :] = adj[:, v] = 0.0
+        fill[v] = np.inf
+        order.append(v)
+        if len(nbrs):
+            touched = adj[nbrs].any(axis=0)
+            touched[nbrs] = True
+            rows = np.flatnonzero(touched)
+            fill[rows] = _twice_fill(adj, rows)[0]
+    return width, tuple(order)
 
 
 def path(n):
@@ -197,6 +222,63 @@ def test_array_brackets_match_bitset_reference(n, p, layers, seed):
         assert (width, order.order) == reference_min_fill(g)
         assert order.width == width
         assert degeneracy(g) == reference_degeneracy(g)
+
+
+def _graph(n, pairs):
+    return LayerGraph(n, tuple(sorted({(min(a, b), max(a, b)) for a, b in pairs})))
+
+
+@st.composite
+def workload_graphs(draw):
+    """A G(n, ln n/n) layer or the union of ceil(ln n) of them, n <= 200."""
+    n, seed = draw(st.integers(1, 200)), draw(st.integers(0, 2**32 - 1))
+    layers = draw(st.sampled_from([1, default_layers(n)]))
+    return union_graph([sample_er_graph(n, default_p(n), derive_seed(seed, l))
+                        for l in range(layers)])
+
+
+@st.composite
+def shaped_graphs(draw, depth=1):
+    """Graphs that take only one update branch, or both: empty, trees and
+    stars (every step simplicial), cycles (none simplicial), cliques,
+    k-trees, disjoint unions, isolated vertices; relabelled at random."""
+    kind = draw(st.sampled_from(["empty", "tree", "star", "cycle", "clique", "ktree"]
+                                + (["union"] if depth else [])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "union":
+        a, b = draw(shaped_graphs(depth=0)), draw(shaped_graphs(depth=0))
+        g = _graph(a.n + b.n, a.edges + tuple((u + a.n, w + a.n) for u, w in b.edges))
+    else:
+        n = draw(st.integers(1 if kind != "cycle" else 3, 40))
+        if kind == "empty":
+            g = LayerGraph(n, ())
+        elif kind == "tree":
+            g = _graph(n, [(v, int(rng.integers(v))) for v in range(1, n)])
+        elif kind == "star":
+            g = _graph(n, [(0, v) for v in range(1, n)])
+        elif kind == "cycle":
+            g = cycle(n)
+        elif kind == "clique":
+            g = clique(n)
+        else:
+            k = draw(st.integers(1, max(1, n - 1)))
+            pairs = [(a, b) for a in range(min(k + 1, n)) for b in range(a)]
+            cliques = [tuple(u for u in range(k + 1) if u != w) for w in range(k + 1)]
+            for v in range(k + 1, n):
+                base = cliques[int(rng.integers(len(cliques)))]
+                pairs += [(v, u) for u in base]
+                cliques += [tuple(u for u in base if u != w) + (v,) for w in base]
+            g = _graph(n, pairs)
+    isolated = draw(st.integers(0, 3))
+    perm = rng.permutation(g.n + isolated)
+    return _graph(g.n + isolated, [(int(perm[a]), int(perm[b])) for a, b in g.edges])
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=st.one_of(workload_graphs(), shaped_graphs()))
+def test_min_fill_matches_recount_reference_bitwise(graph):
+    width, order = min_fill_width(graph)
+    assert (width, order.order) == reference_recount_min_fill(graph)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 64])
