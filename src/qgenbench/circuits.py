@@ -12,6 +12,7 @@ repeated builds produce byte-identical JSON.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -233,6 +234,17 @@ def resolve_tau2(preset: str, n: int, layers: int, max_weight: int = 1) -> float
     raise ValueError(f"unknown tau2 preset {preset!r}")
 
 
+@functools.lru_cache(maxsize=1)
+def _pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The C(n,2) pairs a < b in lexicographic order, as read-only arrays.
+
+    Kept for the most recent n: the studies draw many graphs of one size.
+    """
+    a, b = np.triu_indices(n, 1)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
 def sample_er_graph(n: int, p: float, seed: int) -> LayerGraph:
     """G(n, p): each of the C(n,2) edges kept independently with probability p.
 
@@ -240,8 +252,7 @@ def sample_er_graph(n: int, p: float, seed: int) -> LayerGraph:
     """
     if not 0.0 <= p <= 1.0:  # also rejects NaN
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    r = np.arange(n)
-    a, b = np.nonzero(r[:, None] < r)  # as np.triu_indices(n, 1), at a fifth of its cost
+    a, b = _pairs(n)
     keep = rng_for(seed).random(len(a)) < p
     return LayerGraph(n, tuple(zip(a[keep].tolist(), b[keep].tolist())))
 

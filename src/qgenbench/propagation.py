@@ -4,15 +4,20 @@ The observable (a real-coefficient Pauli sum) is conjugated layer by layer
 from the last circuit layer to the first; the final expectation is read off
 on |0...0>.  Terms are held in flat numpy arrays: one packed uint64 key
 (x << 32) | z per string, which caps the register at 32 qubits, plus the
-coefficient and the sine count.  A rotation scales the cosine branch of the
-anticommuting terms and merges their sine branch into the terms with one
-stable sort, which runs in linear time because both parts are sorted runs.
-Truncation runs once on the observable and then after each rotation that
-splits a term; the term cap finds its threshold with ``np.partition``.  A
-CZ layer creates no new terms: its gates commute, so the whole layer is one
-Clifford map of the keys, z <- z ^ M x with M the layer's adjacency matrix,
-plus one closed-form sign; the keys come out permuted, and the next
-rotation that splits terms sorts them again.
+coefficient and the sine count.  The policy truncates the observable once;
+after that, each rotation that splits a term is one kernel, `_rotate`: it
+signs the sine branch with a sign-bit XOR, merges it into the terms with one
+stable sort (linear time on sorted runs), flags every term that merged into
+its duplicate, fell under COEFF_EPS or passed the sine cutoff, and compacts
+the terms once, in key order; the term cap finds its threshold with
+``np.partition``.  A rotation layer first finds, with one OR-reduce of the
+keys, the qubits on which some term anticommutes with its axis; the other
+rotations split nothing and are skipped.  A brick layer runs its gates
+through the kernel one at a time.  A CZ layer creates no new terms:
+its gates commute, so the whole layer is one Clifford map of the keys,
+z <- z ^ M x with M the layer's adjacency matrix, plus one closed-form sign;
+the keys come out permuted, and the next rotation that splits terms sorts
+them again.
 
 Rotation gates follow the generator convention R(g) = exp(-i*g*G) with G a
 Pauli, so conjugating an anticommuting string P gives
@@ -29,8 +34,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuits import (Circuit, CZLayer, GenerativeSpec, build_generative, build_trainable,
-                       concatenate, default_layers, default_p, layer_gates)
+from .circuits import (Circuit, CZLayer, GenerativeSpec, RotationLayer, build_generative,
+                       build_trainable, concatenate, default_layers, default_p, layer_gates)
 from .pauli import COEFF_EPS, PauliString, PauliSum, PauliTerm
 from .seeding import derive_seed
 
@@ -116,50 +121,87 @@ class _TermArrays:
                    [t.coefficient for t in terms], np.zeros(len(terms), dtype=np.int64))
 
 
-def _merge(a: _TermArrays, b: _TermArrays) -> _TermArrays:
-    """Union of two term sets, each with distinct keys, sorted by key.
+def _generator_key(letter: str, qubits: Sequence[int]) -> int:
+    """Packed key of the rotation generator `letter` on every qubit of `qubits`."""
+    mask = sum(1 << q for q in qubits)
+    return (mask << 32 if letter in "XY" else 0) | (mask if letter in "YZ" else 0)
 
-    A key in both gets the coefficients added (a's first) and the smaller
-    sine count; terms with |c| < COEFF_EPS are dropped.  The stable sort
-    finds a sorted set as one run and merges two runs in linear time.
+
+def _splitting_qubits(t: _TermArrays, axis: str) -> int:
+    """Bit q set when some term anticommutes with `axis` on qubit q: has a z
+    bit there for X, an x bit for Z and x ^ z for Y.  A rotation on q changes
+    only q's bits and truncation only removes terms, so a qubit left unset
+    here stays unset while the rest of the rotation layer is applied."""
+    if axis == "Y":
+        return int(np.bitwise_or.reduce((t.k >> np.uint64(32)) ^ t.k) & _Z_MASK)
+    bits = int(np.bitwise_or.reduce(t.k))
+    return bits & 0xFFFFFFFF if axis == "X" else bits >> 32
+
+
+_CUT, _GONE = np.uint8(1), np.uint8(2)  # per-term flags of _rotate; 0 keeps the term
+
+
+def _rotate(t: _TermArrays, gkey: int, angle: float, pol: TruncationPolicy,
+            report: PropagationReport) -> _TermArrays:
+    """Conjugate by exp(-i*angle*G), G the Pauli string of packed key `gkey`,
+    merge the sine branch into the terms and truncate, with one sort and one
+    compaction.  Returns `t` itself when no term anticommutes with G.
+
+    `t` holds distinct keys, and under a sine cutoff every count is within
+    it, as truncation leaves them.  The survivors come out sorted by key.
+    Bit for bit, the result is that of merging the rotated terms into a
+    sorted set first and truncating that set after: the same coefficients,
+    and the cut magnitudes summed into `dropped_mass` in merged key order.
     """
-    k = np.concatenate([a.k, b.k])
-    order = np.argsort(k, kind="stable")
-    k = k[order]
-    c = np.concatenate([a.c, b.c])[order]
-    s = np.concatenate([a.s, b.s])[order]
-    dup = np.flatnonzero(k[1:] == k[:-1])
-    c[dup] += c[dup + 1]
-    s[dup] = np.minimum(s[dup], s[dup + 1])
-    keep = np.abs(c) >= COEFF_EPS
-    keep[dup + 1] = False
-    t = _TermArrays(k, c, s)
-    return t if keep.all() else t.take(np.flatnonzero(keep))
-
-
-def _apply_rotation(t: _TermArrays, gen: PauliString, angle: float) -> _TermArrays:
+    gx, gz = gkey >> 32, gkey & 0xFFFFFFFF
     # P anticommutes with G when |x & gz| + |z & gx| is odd: one popcount
     # against the generator's key with x and z swapped
-    anti = np.flatnonzero(np.bitwise_count(t.k & np.uint64(_key(gen.z, gen.x))) & 1)
+    anti = np.flatnonzero(
+        (np.bitwise_count(t.k & np.uint64((gz << 32) | gx)) & np.uint8(1)).view(bool))
     if not len(anti):
         return t
     c2, s2 = math.cos(2 * angle), math.sin(2 * angle)
-    ak, ac, asn = t.k[anti], t.c[anti], t.s[anti]
+    n = len(t)
+    ak, ac = t.k[anti], t.c[anti]
     # the sine branch P -> iGP is a bijection, so its keys are distinct
-    sk = ak ^ np.uint64(_key(gen.x, gen.z))
+    sk = ak ^ np.uint64(gkey)
     # its sign: with P = i^(x.z) X^x Z^z, GP = i^k X^x3 Z^z3 for x3, z3 the
     # XORs and k = gx.gz + px.pz + 2 gz.px - x3.z3, so iGP carries the real
-    # phase i^(1+k); each dot product is one popcount of packed keys
+    # phase i^(1+k), -1 when bit 1 of 1+k is set; uint8 wraps modulo 256,
+    # which keeps it
     hi = np.uint64(32)
-    ph = (np.bitwise_count((ak >> hi) & ak).astype(np.int64)
-          + 2 * np.bitwise_count(ak & np.uint64(gen.z << 32))
-          - np.bitwise_count((sk >> hi) & sk)
-          + (gen.x & gen.z).bit_count() + 1)
-    sign = np.where(ph % 4 == 0, 1.0, -1.0)
-    c = t.c.copy()
+    ph = (np.bitwise_count((ak >> hi) & ak) + 2 * np.bitwise_count(ak & np.uint64(gz << 32))
+          - np.bitwise_count((sk >> hi) & sk) + ((gx & gz).bit_count() + 1))
+    flip = (ph & np.uint8(2)).astype(np.uint64) << np.uint64(62)
+    k = np.concatenate([t.k, sk])
+    c = np.concatenate([t.c, ((ac * s2).view(np.uint64) ^ flip).view(np.float64)])
     c[anti] = ac * c2
-    sine = _TermArrays(sk, ac * s2 * sign, asn + 1)
-    return _merge(_TermArrays(t.k, c, t.s), sine)
+    s = np.concatenate([t.s, t.s[anti] + 1])
+    # the stable sort finds the sorted terms as one run; a key that occurs
+    # twice is a term a of t followed by the sine term b that lands on it
+    order = np.argsort(k, kind="stable")
+    sorted_k = k[order]
+    dup = np.flatnonzero(sorted_k[1:] == sorted_k[:-1])
+    a, b = order[dup], order[dup + 1]
+    c[a] += c[b]
+    s[a] = np.minimum(s[a], s[b])
+    flag = np.zeros(len(k), dtype=np.uint8)
+    if pol.sine_cutoff is not None:
+        # only an unmerged sine term can pass the cutoff: a merged one keeps
+        # the count of the term of t it lands on
+        flag[n:] = s[n:] > pol.sine_cutoff
+    flag[np.abs(c) < COEFF_EPS] = _GONE
+    flag[b] = _GONE
+    flag = flag[order]
+    cut = order[flag == _CUT]
+    if len(cut):
+        report.dropped_mass += float(np.sum(np.abs(c[cut])))
+    keep = order[flag == 0]
+    kept_c = c[keep]
+    capped = _term_cap(kept_c, pol, report)
+    if capped is not None:
+        keep, kept_c = keep[capped], kept_c[capped]
+    return _TermArrays(k[keep], kept_c, s[keep])
 
 
 def _apply_cz_layer(t: _TermArrays, edges: Sequence[Tuple[int, int]]) -> _TermArrays:
@@ -199,30 +241,37 @@ def _apply_cz_layer(t: _TermArrays, edges: Sequence[Tuple[int, int]]) -> _TermAr
     return _TermArrays(k, c, t.s)
 
 
-def _truncate(t: _TermArrays, pol: TruncationPolicy, report: PropagationReport) -> _TermArrays:
+def _term_cap(c: np.ndarray, pol: TruncationPolicy,
+              report: PropagationReport) -> Optional[np.ndarray]:
+    """Indices of the coefficients `c` that the term cap keeps, or None when
+    all of them fit; exact mode raises instead of dropping."""
+    if pol.max_terms is None or len(c) <= pol.max_terms:
+        return None
     if pol.exact:
-        if pol.max_terms is not None and len(t) > pol.max_terms:
-            report.final_terms = len(t)
-            raise ResourceLimitError(
-                f"exact mode exceeded max_terms={pol.max_terms} ({len(t)} terms)", report)
-        return t
+        report.final_terms = len(c)
+        raise ResourceLimitError(
+            f"exact mode exceeded max_terms={pol.max_terms} ({len(c)} terms)", report)
+    # keep the max_terms largest |c|, ties going to the lower index: the set
+    # a stable descending sort would keep
+    mag = np.abs(c)
+    edge = np.partition(mag, len(c) - pol.max_terms)[len(c) - pol.max_terms]
+    keep = mag > edge
+    ties = np.flatnonzero(mag == edge)
+    keep[ties[:pol.max_terms - np.count_nonzero(keep)]] = True
+    # lost magnitudes summed in descending order
+    report.dropped_mass += float(-np.sum(np.sort(-mag[~keep])))
+    return np.flatnonzero(keep)
+
+
+def _truncate(t: _TermArrays, pol: TruncationPolicy, report: PropagationReport) -> _TermArrays:
+    """The policy applied to the observable, before any gate."""
     if pol.sine_cutoff is not None:
         drop = t.s > pol.sine_cutoff
         if drop.any():
             report.dropped_mass += float(np.sum(np.abs(t.c[drop])))
             t = t.take(np.flatnonzero(~drop))
-    if pol.max_terms is not None and len(t) > pol.max_terms:
-        # keep the max_terms largest |c|, ties going to the lower index: the
-        # set a stable descending sort would keep
-        mag = np.abs(t.c)
-        edge = np.partition(mag, len(t) - pol.max_terms)[len(t) - pol.max_terms]
-        keep = mag > edge
-        ties = np.flatnonzero(mag == edge)
-        keep[ties[:pol.max_terms - np.count_nonzero(keep)]] = True
-        # lost magnitudes summed in descending order
-        report.dropped_mass += float(-np.sum(np.sort(-mag[~keep])))
-        t = t.take(np.flatnonzero(keep))
-    return t
+    keep = _term_cap(t.c, pol, report)
+    return t if keep is None else t.take(keep)
 
 
 def propagate(circuit: Circuit, observable: PauliSum,
@@ -237,7 +286,7 @@ def propagate(circuit: Circuit, observable: PauliSum,
     t = _TermArrays.from_sum(observable)
     start = time.monotonic()
     # the observable is truncated once; after that only a split can give
-    # _truncate work, as a CZ layer, or a rotation that splits nothing,
+    # truncation work, as a CZ layer, or a rotation that splits nothing,
     # changes no sine count, |c| or term count
     t = _truncate(t, policy, report)
     for layer in reversed(circuit.layers):
@@ -247,12 +296,17 @@ def propagate(circuit: Circuit, observable: PauliSum,
                 report.terms_per_step += [len(t)] * len(layer.edges)
                 report.peak_terms = max(report.peak_terms, len(t))
             continue
-        for gate in reversed(list(layer_gates(layer, circuit.theta))):
-            out = _apply_rotation(t, gate.generator(circuit.n), gate.angle)
-            if out is not t:
-                # rebinding out frees the merged terms before the next gate
-                out = _truncate(out, policy, report)
-            t = out
+        if isinstance(layer, RotationLayer):
+            # one pass finds the qubits whose rotation can split a term
+            live = _splitting_qubits(t, layer.axis)
+            gates = [(_generator_key(layer.axis, (q,)) if (live >> q) & 1 else None, angle)
+                     for q, angle in reversed(list(enumerate(layer.angles)))]
+        else:
+            gates = [(_generator_key(gate.kind[1], gate.qubits), gate.angle)
+                     for gate in reversed(list(layer_gates(layer, circuit.theta)))]
+        for gkey, angle in gates:
+            if gkey is not None:
+                t = _rotate(t, gkey, angle, policy, report)
             report.terms_per_step.append(len(t))
             report.peak_terms = max(report.peak_terms, len(t))
     report.wall_time = time.monotonic() - start

@@ -12,6 +12,7 @@ are given; `apply_gate` copies first and so keeps its non-mutating contract.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -191,10 +192,17 @@ def _evolve(amps: np.ndarray, n: int, layers: Sequence, theta: np.ndarray) -> np
     return amps
 
 
+@functools.lru_cache(maxsize=1)
+def _basis_index(dim: int) -> np.ndarray:
+    """Read-only basis indices 0..dim-1, kept for the most recent dimension."""
+    idx = np.arange(dim, dtype=np.uint64)
+    idx.flags.writeable = False
+    return idx
+
+
 def apply_pauli(amps: np.ndarray, p: PauliString) -> np.ndarray:
     """P|psi> via index arithmetic: P = i^{#Y} (prod X)(prod Z)."""
-    idx = np.arange(len(amps), dtype=np.uint64)
-    src = idx ^ np.uint64(p.x)
+    src = _basis_index(len(amps)) ^ np.uint64(p.x)
     parity = np.bitwise_count(src & np.uint64(p.z)) & 1
     phase = (1j) ** ((p.x & p.z).bit_count() % 4)
     out = amps[src] * phase

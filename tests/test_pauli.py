@@ -1,9 +1,11 @@
 """Pauli observables and the array kernels of the propagation engine.
 
-``_apply_rotation``, ``_apply_cz_layer``, ``_merge`` and ``_truncate`` are
-the kernels that ``propagate`` runs; they are checked here against dense
-matrices and against their ordering contracts.  The CZ layer kernel is also
-checked bitwise against ``reference_cz``, a per-gate kernel.
+``_rotate``, ``_apply_cz_layer`` and ``_truncate`` are the kernels that
+``propagate`` runs; they are checked here against dense matrices and against
+their ordering contracts.  Each fast kernel is also checked bitwise against a
+reference: the CZ layer against ``reference_cz``, a per-gate kernel, and the
+fused rotation against the chain ``reference_rotation`` -> ``reference_merge``
+-> ``reference_truncate``, which sorts and compacts every term twice.
 """
 
 import math
@@ -14,13 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgenbench.circuits import Circuit, Gate, ROTATION_KINDS
-from qgenbench.pauli import PauliDimensionError, PauliString, PauliSum, PauliTerm
-from qgenbench.propagation import (PropagationReport, TruncationPolicy, _TermArrays,
-                                   _apply_cz_layer, _apply_rotation, _merge,
-                                   _truncate, propagate)
+from qgenbench.pauli import COEFF_EPS, PauliDimensionError, PauliString, PauliSum, PauliTerm
+from qgenbench.propagation import (PropagationReport, ResourceLimitError, TruncationPolicy,
+                                   _TermArrays, _apply_cz_layer, _key, _rotate, _truncate,
+                                   propagate)
 from qgenbench.statevector import dense_pauli_matrix
 
 LETTERS = "IXYZ"
+EXACT = TruncationPolicy.exact_mode()
 
 # exponent k of the phase i**k in the single-qubit product a*b, indexed
 # [a_letter][b_letter] with I=0 X=1 Y=2 Z=3: cyclic X->Y->Z->X gives +i (k=1),
@@ -48,6 +51,11 @@ def rand_arrays(rng, n, k):
     t = arrays(s)
     t.s = rng.integers(0, 4, len(t))
     return t
+
+
+def rotate(t: _TermArrays, gen: PauliString, angle: float) -> _TermArrays:
+    """The rotation kernel about `gen` with nothing truncated."""
+    return _rotate(t, _key(gen.x, gen.z), angle, EXACT, PropagationReport(expectation=0.0))
 
 
 def one_term(p: PauliString, coefficient=1.0) -> _TermArrays:
@@ -129,9 +137,9 @@ def test_sum_add_dimension_mismatch():
 
 
 def test_commutes_trivial():
-    assert len(_apply_rotation(single("X"), PauliString.from_label("Z"), 0.3)) == 2
+    assert len(rotate(single("X"), PauliString.from_label("Z"), 0.3)) == 2
     t = single("XX")
-    assert _apply_rotation(t, PauliString.from_label("ZZ"), 0.3) is t
+    assert rotate(t, PauliString.from_label("ZZ"), 0.3) is t
 
 
 def test_commutes_matches_dense():
@@ -139,7 +147,7 @@ def test_commutes_matches_dense():
     for _ in range(40):
         p, g = rand_string(rng, 6), rand_string(rng, 6)
         a, b = dense_pauli_matrix(p), dense_pauli_matrix(g)
-        out = _apply_rotation(one_term(p), g, 0.3)
+        out = rotate(one_term(p), g, 0.3)
         assert (len(out) == 1) == bool(np.allclose(a @ b, b @ a))
 
 
@@ -252,7 +260,7 @@ def test_cz_layer_matches_gate_by_gate_bitwise(data):
 
 
 def test_conjugate_rotation_split():
-    out = terms_of(_apply_rotation(single("Z"), PauliString.from_label("X"), math.pi / 8), 1)
+    out = terms_of(rotate(single("Z"), PauliString.from_label("X"), math.pi / 8), 1)
     assert out["Z"][0] == pytest.approx(0.7071067812, abs=1e-9)
     assert out["Z"][1] == 0
     assert out["Y"][0] == pytest.approx(0.7071067812, abs=1e-9)
@@ -261,7 +269,7 @@ def test_conjugate_rotation_split():
 
 def test_conjugate_rotation_commuting_unchanged():
     t = single("X")
-    out = _apply_rotation(t, PauliString.from_label("X"), 0.7)
+    out = rotate(t, PauliString.from_label("X"), 0.7)
     assert out is t
     assert terms_of(out, 1) == {"X": (1.0, 0)}
 
@@ -273,7 +281,7 @@ def test_conjugate_rotation_matches_dense():
         for _ in range(10):
             gate = rand_rotation(rng, n, (kind,))
             t = rand_arrays(rng, n, 6)
-            out = _apply_rotation(t, gate.generator(n), gate.angle)
+            out = rotate(t, gate.generator(n), gate.angle)
             u = rotation_unitary(gate, n)
             assert np.allclose(dense(out, n), u.conj().T @ dense(t, n) @ u, atol=1e-12)
 
@@ -299,7 +307,7 @@ def test_norm_and_hermiticity_through_gates():
     for _ in range(30):
         if rng.random() < 0.5:
             gate = rand_rotation(rng, n)
-            t = _apply_rotation(t, gate.generator(n), gate.angle)
+            t = rotate(t, gate.generator(n), gate.angle)
         else:
             a, b = rng.choice(n, 2, replace=False)
             t = _apply_cz_layer(t, ((int(a), int(b)),))
@@ -314,7 +322,7 @@ def test_norm_conserved_without_merge_collisions():
     t = single("ZXYZ", 0.8)
     norm0 = norm_sq(t)
     for q, letter in enumerate("XZXY"):
-        t = _apply_rotation(t, PauliString.single(4, q, letter), float(rng.normal(0, 0.3)))
+        t = rotate(t, PauliString.single(4, q, letter), float(rng.normal(0, 0.3)))
     assert len(t) == 16
     assert norm_sq(t) == pytest.approx(norm0, abs=1e-12)
 
@@ -325,23 +333,24 @@ def test_sine_count_bounded_by_rotation_count():
     rotations = 12
     for _ in range(rotations):
         gate = rand_rotation(rng, 3)
-        t = _apply_rotation(t, gate.generator(3), gate.angle)
+        t = rotate(t, gate.generator(3), gate.angle)
     assert t.s.max() <= rotations
 
 
 def test_anticommuting_split_adds_one_term():
     s = PauliSum.from_label(1.0, "ZI")
     s.add(PauliTerm(0.5, PauliString.from_label("IZ")))
-    out = _apply_rotation(arrays(s), PauliString.from_label("XI"), 0.3)
+    out = rotate(arrays(s), PauliString.from_label("XI"), 0.3)
     assert len(out) == 3  # ZI splits into ZI and YI; IZ commutes
 
 
 def test_merge_kernel_sums_duplicates():
-    # packed keys Z=1, X=2**32, Y=2**32+1: Z in both sets, X in the first
-    # only, and Y in both, cancelling to exact zero; the first set unsorted
+    # the reference merge: packed keys Z=1, X=2**32, Y=2**32+1: Z in both
+    # sets, X in the first only, and Y in both, cancelling to exact zero; the
+    # first set unsorted
     x, y, z = 2**32, 2**32 + 1, 1
-    t = _merge(_TermArrays([y, x, z], [0.125, 2.0, 0.5], [2, 0, 3]),
-               _TermArrays([z, y], [0.25, -0.125], [1, 2]))
+    t = reference_merge(_TermArrays([y, x, z], [0.125, 2.0, 0.5], [2, 0, 3]),
+                        _TermArrays([z, y], [0.25, -0.125], [1, 2]))
     assert terms_of(t, 1) == {"X": (2.0, 0), "Z": (0.75, 1)}
     assert increasing(t.k)
 
@@ -351,8 +360,8 @@ def test_merge_kernel_sums_duplicates():
 @settings(max_examples=60, deadline=None)
 def test_commutes_symmetric(x1, z1, x2, z2):
     p, q = PauliString(5, x1, z1), PauliString(5, x2, z2)
-    p_splits = len(_apply_rotation(one_term(p), q, 0.3)) == 2
-    q_splits = len(_apply_rotation(one_term(q), p, 0.3)) == 2
+    p_splits = len(rotate(one_term(p), q, 0.3)) == 2
+    q_splits = len(rotate(one_term(q), p, 0.3)) == 2
     assert p_splits == q_splits
 
 
@@ -362,7 +371,7 @@ def test_self_product_is_identity(x, z):
     # P P = I, so P commutes with itself and a rotation about P leaves it fixed
     p = PauliString(4, x, z)
     t = one_term(p)
-    assert _apply_rotation(t, p, 0.4) is t
+    assert rotate(t, p, 0.4) is t
 
 
 def test_rotation_returns_increasing_keys():
@@ -376,7 +385,7 @@ def test_rotation_returns_increasing_keys():
         shuffled = _apply_cz_layer(t, ((a, b),))  # CZ permutes keys out of order
         for start in (t, shuffled):
             gate = rand_rotation(rng, n)
-            out = _apply_rotation(start, gate.generator(n), gate.angle)
+            out = rotate(start, gate.generator(n), gate.angle)
             if out is not start:  # a rotation that splits nothing returns its input
                 assert increasing(out.k)
                 unsorted_splits += not increasing(start.k)
@@ -408,3 +417,189 @@ def test_cap_dropped_mass_is_descending_sum():
         order = np.argsort(-np.abs(c), kind="stable")
         assert out.k.tolist() == sorted(order[:cap].tolist())
         assert report.dropped_mass == float(np.sum(np.abs(c[order[cap:]])))
+
+
+# --- reference rotation chain ----------------------------------------------
+# The rotation, merge and truncation kernels that _rotate fuses: the sine
+# branch is signed with a float multiply, merged into every term with one
+# sort and compacted, then masked and compacted again by the truncation.
+
+def reference_merge(a: _TermArrays, b: _TermArrays) -> _TermArrays:
+    """Union of two term sets, each with distinct keys, sorted by key.
+
+    A key in both gets the coefficients added (a's first) and the smaller
+    sine count; terms with |c| < COEFF_EPS are dropped.
+    """
+    k = np.concatenate([a.k, b.k])
+    order = np.argsort(k, kind="stable")
+    k = k[order]
+    c = np.concatenate([a.c, b.c])[order]
+    s = np.concatenate([a.s, b.s])[order]
+    dup = np.flatnonzero(k[1:] == k[:-1])
+    c[dup] += c[dup + 1]
+    s[dup] = np.minimum(s[dup], s[dup + 1])
+    keep = np.abs(c) >= COEFF_EPS
+    keep[dup + 1] = False
+    t = _TermArrays(k, c, s)
+    return t if keep.all() else t.take(np.flatnonzero(keep))
+
+
+def reference_rotation(t: _TermArrays, gen: PauliString, angle: float) -> _TermArrays:
+    """Conjugate by exp(-i*angle*G) and merge; `t` itself when nothing splits."""
+    anti = np.flatnonzero(np.bitwise_count(t.k & np.uint64(_key(gen.z, gen.x))) & 1)
+    if not len(anti):
+        return t
+    c2, s2 = math.cos(2 * angle), math.sin(2 * angle)
+    ak, ac, asn = t.k[anti], t.c[anti], t.s[anti]
+    sk = ak ^ np.uint64(_key(gen.x, gen.z))
+    hi = np.uint64(32)
+    ph = (np.bitwise_count((ak >> hi) & ak).astype(np.int64)
+          + 2 * np.bitwise_count(ak & np.uint64(gen.z << 32))
+          - np.bitwise_count((sk >> hi) & sk)
+          + (gen.x & gen.z).bit_count() + 1)
+    sign = np.where(ph % 4 == 0, 1.0, -1.0)
+    c = t.c.copy()
+    c[anti] = ac * c2
+    sine = _TermArrays(sk, ac * s2 * sign, asn + 1)
+    return reference_merge(_TermArrays(t.k, c, t.s), sine)
+
+
+def reference_truncate(t: _TermArrays, pol: TruncationPolicy,
+                       report: PropagationReport) -> _TermArrays:
+    """Sine cutoff over every term, then the term cap."""
+    if pol.exact:
+        if pol.max_terms is not None and len(t) > pol.max_terms:
+            report.final_terms = len(t)
+            raise ResourceLimitError("exact mode exceeded max_terms", report)
+        return t
+    if pol.sine_cutoff is not None:
+        drop = t.s > pol.sine_cutoff
+        if drop.any():
+            report.dropped_mass += float(np.sum(np.abs(t.c[drop])))
+            t = t.take(np.flatnonzero(~drop))
+    if pol.max_terms is not None and len(t) > pol.max_terms:
+        mag = np.abs(t.c)
+        edge = np.partition(mag, len(t) - pol.max_terms)[len(t) - pol.max_terms]
+        keep = mag > edge
+        ties = np.flatnonzero(mag == edge)
+        keep[ties[:pol.max_terms - np.count_nonzero(keep)]] = True
+        report.dropped_mass += float(-np.sum(np.sort(-mag[~keep])))
+        t = t.take(np.flatnonzero(keep))
+    return t
+
+
+def reference_step(t, gen, angle, pol, report):
+    out = reference_rotation(t, gen, angle)
+    return out if out is t else reference_truncate(out, pol, report)
+
+
+# Multiples of pi/8: at 2*angle = pi/2 or pi a cosine or sine factor is
+# about 1e-16, so that branch falls under COEFF_EPS, and sine images that
+# cancel exactly reach it too.  Grid coefficients make magnitudes tie at the cap.
+SNAPPED = st.one_of(st.integers(-8, 8).map(lambda k: k * math.pi / 8),
+                    st.floats(-1.6, 1.6, allow_nan=False))
+GRID_COEFFS = st.one_of(st.sampled_from([0.125, 0.25, 0.5, 1.0]), st.floats(0.01, 2.0))
+
+
+@st.composite
+def rotation_steps(draw):
+    """(terms, generator, angle, policy): terms as truncation leaves them
+    (distinct keys, |c| >= COEFF_EPS, sine counts within the cutoff), sorted
+    or permuted by a CZ layer.  Half the strings come with their sine image
+    under the generator, so the merge meets duplicates."""
+    n = draw(st.integers(1, 8) | st.integers(9, 32))
+    letter = draw(st.sampled_from("XYZ"))
+    qubits = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 2), unique=True))
+    gen = Gate("R" + letter * len(qubits), tuple(qubits)).generator(n)
+    masks = st.integers(0, 2**n - 1)
+    keys = set()
+    for x, z, paired in draw(st.lists(st.tuples(masks, masks, st.booleans()), max_size=24)):
+        keys.add(_key(x, z))
+        if paired:
+            keys.add(_key(x ^ gen.x, z ^ gen.z))
+    keys = sorted(keys)
+    policy = draw(st.sampled_from([
+        TruncationPolicy.exact_mode(max_terms=draw(st.integers(1, 48))),
+        TruncationPolicy(sine_cutoff=draw(st.integers(0, 3))),
+        TruncationPolicy(max_terms=draw(st.integers(1, 48))),
+        TruncationPolicy(sine_cutoff=draw(st.integers(0, 3)), max_terms=draw(st.integers(1, 48))),
+    ]))
+    top = 5 if policy.sine_cutoff is None else policy.sine_cutoff
+    coeffs = GRID_COEFFS.flatmap(lambda c: st.sampled_from([c, -c]))
+    t = _TermArrays(keys, draw(st.lists(coeffs, min_size=len(keys), max_size=len(keys))),
+                    draw(st.lists(st.integers(0, top), min_size=len(keys), max_size=len(keys))))
+    if n > 1 and draw(st.booleans()):
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        t = _apply_cz_layer(t, tuple(draw(st.lists(st.sampled_from(pairs), min_size=1,
+                                                   max_size=8, unique=True))))
+    return t, gen, draw(SNAPPED), policy
+
+
+def _step_or_overrun(step, t, pol):
+    report = PropagationReport(expectation=0.0)
+    try:
+        return step(t, report), report
+    except ResourceLimitError as err:
+        assert err.report is report
+        return None, report
+
+
+@given(rotation_steps())
+@settings(max_examples=300, deadline=None)
+def test_rotate_matches_reference_chain_bitwise(step):
+    t, gen, angle, pol = step
+    got, got_report = _step_or_overrun(
+        lambda t, r: _rotate(t, _key(gen.x, gen.z), angle, pol, r), t, pol)
+    want, want_report = _step_or_overrun(
+        lambda t, r: reference_step(t, gen, angle, pol, r), t, pol)
+    assert got_report == want_report  # dropped_mass bits, and final_terms of an overrun
+    if want is None:
+        assert got is None
+        return
+    assert (got is t) == (want is t)
+    assert np.array_equal(got.k, want.k)
+    assert np.array_equal(got.c.view(np.uint64), want.c.view(np.uint64))
+    assert np.array_equal(got.s, want.s)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rotate_matches_reference_chain_at_scale(seed):
+    # thousands of terms, most of their sine images cut: at this size a sum
+    # of the cut magnitudes in any order but the merged key order rounds
+    # differently
+    rng = np.random.default_rng(seed)
+    n = 12
+    keys = np.unique(rng.integers(0, 2**(2 * n), 3000, dtype=np.uint64))
+    keys = (keys >> np.uint64(n) << np.uint64(32)) | (keys & np.uint64(2**n - 1))
+    t = _TermArrays(keys, rng.normal(size=len(keys)), rng.integers(0, 2, len(keys)))
+    if seed % 2:
+        t = _apply_cz_layer(t, ((0, 5), (3, 11), (7, 2)))
+    gen = rand_rotation(rng, n).generator(n)
+    for pol in (TruncationPolicy(sine_cutoff=1), TruncationPolicy(sine_cutoff=1, max_terms=2000),
+                TruncationPolicy(max_terms=1000)):
+        got_report, want_report = (PropagationReport(expectation=0.0) for _ in range(2))
+        got = _rotate(t, _key(gen.x, gen.z), 0.4, pol, got_report)
+        want = reference_step(t, gen, 0.4, pol, want_report)
+        assert got_report == want_report
+        assert np.array_equal(got.k, want.k)
+        assert np.array_equal(got.c.view(np.uint64), want.c.view(np.uint64))
+        assert np.array_equal(got.s, want.s)
+
+
+@pytest.mark.parametrize("angle,gone", [(math.pi / 4, "cosine"), (math.pi / 2, "sine")])
+def test_rotate_drops_branches_under_coeff_eps(angle, gone):
+    # at 2*angle = pi/2 the cosine factor is about 6e-17, at pi the sine factor
+    # about 1e-16: that branch falls under COEFF_EPS and is dropped unreported
+    report = PropagationReport(expectation=0.0)
+    out = _rotate(single("Z"), _key(1, 0), angle, TruncationPolicy(sine_cutoff=3), report)
+    assert terms_of(out, 1).keys() == ({"Y"} if gone == "cosine" else {"Z"})
+    assert report.dropped_mass == 0.0
+
+
+def test_rotate_overrun_keeps_partial_report():
+    report = PropagationReport(expectation=0.0, dropped_mass=0.5)
+    with pytest.raises(ResourceLimitError) as err:
+        _rotate(single("ZZ"), _key(0b01, 0), 0.3, TruncationPolicy.exact_mode(max_terms=1),
+                report)
+    assert err.value.report is report
+    assert (report.final_terms, report.dropped_mass) == (2, 0.5)

@@ -23,9 +23,10 @@ finally:
     sys.dont_write_bytecode = _dont_write
     sys.path.remove(PERFBENCH)
 
-# The seed of the recorded pauliprop units, so that their comparison runs too.
+# The recorded pauliprop units and their seed, so that their comparison runs too.
 with open(GOLDEN_PATH) as _fh:
-    GOLDEN_SEED = json.load(_fh)["seed"]
+    GOLDEN = json.load(_fh)
+GOLDEN_SEED = GOLDEN["seed"]
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -40,3 +41,11 @@ def test_workload_round_passes_check(name):
         out = workload.unit(NULL_TRACER, GOLDEN_SEED, cfg, 0)
         assert workload.check(GOLDEN_SEED, cfg, 0, out) == [], cfg
         assert workload.counts(out)
+
+
+@pytest.mark.parametrize("unit", GOLDEN["units"], ids=lambda u: f"n{u['n']}-trial{u['trial']}")
+def test_golden_pauliprop_unit_replays(unit):
+    # every recorded unit, not only round 0, through the workload's policy
+    out = WORKLOADS["pauliprop"].unit(NULL_TRACER, GOLDEN_SEED, (unit["n"],), unit["trial"])
+    for key in ("expectation", "dropped_mass"):
+        assert abs(getattr(out["report"], key) - unit[key]) <= 1e-9, key

@@ -10,8 +10,8 @@ from qgenbench.circuits import (BRICK_PARAMS, BrickLayer, Circuit, CZLayer, Gene
                                 concatenate, default_depth)
 from qgenbench.pauli import COEFF_EPS, PauliString, PauliSum, PauliTerm
 from qgenbench.propagation import (PropagationReport, ResourceLimitError,
-                                   TruncationPolicy, benchmark_propagation,
-                                   propagate, sine_cutoff_default)
+                                   TruncationPolicy, _splitting_qubits, _TermArrays,
+                                   benchmark_propagation, propagate, sine_cutoff_default)
 from qgenbench.seeding import derive_seed
 from qgenbench import statevector as sv
 
@@ -433,4 +433,21 @@ def test_exact_bound_on_observable_raises_before_any_gate():
         propagate(circ, obs, policy)
     assert err.value.report.terms_per_step == []
     assert err.value.report.final_terms == 2
+    assert_same_report(circ, obs, policy)
+
+
+@pytest.mark.parametrize("policy", [EXACT, TruncationPolicy(sine_cutoff=1),
+                                    TruncationPolicy(sine_cutoff=0, max_terms=3)])
+def test_rotation_layer_skips_qubits_without_anticommuting_terms(policy):
+    # on the observable, X rotations split terms only on qubits 0, 3 and 4
+    # (its Z letters), Y rotations on every qubit but 2 and Z rotations only
+    # on qubit 1; backward, the X layer comes first and skips qubits 1 and 2
+    obs = PauliSum(5, [PauliTerm(0.75, PauliString.from_label("ZXIZI")),
+                       PauliTerm(-0.5, PauliString.from_label("IIIIZ"))])
+    terms = _TermArrays.from_sum(obs)
+    assert [_splitting_qubits(terms, axis) for axis in "XYZ"] == [0b11001, 0b11011, 0b00010]
+    angles = (0.3, -0.2, 0.1, 0.7, -0.4)
+    circ = Circuit(5, tuple(RotationLayer(axis, "gen", angles) for axis in "ZYX"))
+    rep = propagate(circ, obs, policy)
+    assert len(rep.terms_per_step) == 15
     assert_same_report(circ, obs, policy)
