@@ -264,12 +264,8 @@ def _term_cap(c: np.ndarray, pol: TruncationPolicy,
 
 
 def _truncate(t: _TermArrays, pol: TruncationPolicy, report: PropagationReport) -> _TermArrays:
-    """The policy applied to the observable, before any gate."""
-    if pol.sine_cutoff is not None:
-        drop = t.s > pol.sine_cutoff
-        if drop.any():
-            report.dropped_mass += float(np.sum(np.abs(t.c[drop])))
-            t = t.take(np.flatnonzero(~drop))
+    """The policy applied to the observable, before any gate: the term cap
+    alone, as every sine count is still 0 and a sine cutoff is >= 0."""
     keep = _term_cap(t.c, pol, report)
     return t if keep is None else t.take(keep)
 

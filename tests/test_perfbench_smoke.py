@@ -11,6 +11,10 @@ import sys
 
 import pytest
 
+from qgenbench.seeding import derive_seed
+from qgenbench.statevector import run
+from shadows_reference import reference_collect
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
 
@@ -49,3 +53,16 @@ def test_golden_pauliprop_unit_replays(unit):
     out = WORKLOADS["pauliprop"].unit(NULL_TRACER, GOLDEN_SEED, (unit["n"],), unit["trial"])
     for key in ("expectation", "dropped_mass"):
         assert abs(getattr(out["report"], key) - unit[key]) <= 1e-9, key
+
+
+def test_shadows_round0_matches_reference_sampler():
+    # the benchmark's shots, replayed through the former CDF sampler
+    workload = WORKLOADS["shadows"]
+    for cfg in workload.configs:
+        out = workload.unit(NULL_TRACER, GOLDEN_SEED, cfg, 0)
+        (n,) = cfg
+        shadows = out["shadows"]
+        bases, outcomes = reference_collect(run(out["circuit"]), len(shadows),
+                                            derive_seed(GOLDEN_SEED, n, 0, 1))
+        assert shadows.bases.tobytes() == bases.tobytes(), cfg
+        assert shadows.outcomes.tobytes() == outcomes.tobytes(), cfg

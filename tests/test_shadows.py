@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgenbench.circuits import GenerativeSpec, build_generative
 from qgenbench.pauli import PauliString, PauliSum, PauliTerm
@@ -12,58 +15,7 @@ from qgenbench.shadows import (_BASIS_ROT, _SNAPSHOT_FACTORS, ShadowSet, collect
                                single_shot_values)
 from qgenbench import shadows as shadows_mod
 from qgenbench import statevector as sv
-
-# The two-path sampler below enumerated basis combinations while 3**n was at
-# most this, and rotated one state copy per shot above it.
-REFERENCE_ENUMERATE_LIMIT = 20000
-
-
-def _sample_bitstrings(probs, u):
-    """The package's former sampler: one CDF per rotated state."""
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
-    return np.searchsorted(cdf, u, side="right")
-
-
-def reference_collect(state, num_samples, seed):
-    """Two-path sampler (per-combination enumeration, per-shot fallback),
-    kept to pin the grouped sampler bitwise; returns (bases, outcomes)."""
-    rng = rng_for(seed)
-    n = state.n
-    bases = rng.integers(0, 3, size=(num_samples, n), dtype=np.int8)
-    outcomes = np.empty((num_samples, n), dtype=np.int8)
-    if num_samples == 0:
-        return bases, outcomes
-    u = rng.random(num_samples)
-    bits = np.empty(num_samples, dtype=np.int64)
-    if 3**n <= REFERENCE_ENUMERATE_LIMIT:
-        combo = np.zeros(num_samples, dtype=np.int64)
-        for q in range(n):
-            combo = combo * 3 + bases[:, q]
-        for cid in np.unique(combo):
-            letters = []
-            rest = int(cid)
-            for _ in range(n):
-                letters.append(rest % 3)
-                rest //= 3
-            letters = letters[::-1]  # letters[q] = basis at qubit q
-            amps = state.amplitudes.copy()
-            for q in range(n):
-                if letters[q] != 2:
-                    sv.apply_1q_inplace(amps, n, q, _BASIS_ROT[letters[q]])
-            sel = combo == cid
-            bits[sel] = _sample_bitstrings(np.abs(amps) ** 2, u[sel])
-    else:
-        for i in range(num_samples):
-            amps = state.amplitudes.copy()
-            for q in range(n):
-                if bases[i, q] != 2:
-                    sv.apply_1q_inplace(amps, n, q, _BASIS_ROT[bases[i, q]])
-            bits[i] = _sample_bitstrings(np.abs(amps) ** 2, u[i:i + 1])[0]
-    for q in range(n):
-        outcomes[:, q] = 1 - 2 * ((bits >> q) & 1)
-    return bases, outcomes
-
+from shadows_reference import REFERENCE_ENUMERATE_LIMIT, reference_cdf, reference_collect
 
 def reference_rdm(shadows, subsystem):
     """Row-wise `np.unique(axis=0)` grouping of snapshots, kept to pin
@@ -156,31 +108,120 @@ def test_collect_workload_shape_bitwise():
     assert got.outcomes.tobytes() == outcomes.tobytes()
 
 
-def distinct_rotated_prefixes(bases, per_batch):
-    """Distinct prefixes 0..q ending in X or Y, counted per batch of combinations."""
-    combos = np.unique(bases, axis=0)  # sorted, qubit 0 most significant
-    return sum(len({tuple(c[:q + 1]) for c in combos[lo:lo + per_batch]
-                    for q in range(len(c)) if c[q] != 2})
-               for lo in range(0, len(combos), per_batch))
+def rotated_prefixes(bases, outcomes, letter):
+    """Distinct (outcome prefix on qubits q + 1..n - 1, letter prefix on qubits
+    q..n - 1) with `letter` at qubit q, counted over all q."""
+    n = bases.shape[1]
+    return sum(len({(bases[i, q:].tobytes(), outcomes[i, q + 1:].tobytes())
+                    for i in np.flatnonzero(bases[:, q] == letter)})
+               for q in range(n))
 
 
 @pytest.mark.parametrize("n, shots, batch_amps", [
     (6, 500, 2**30), (6, 500, 2**14), (10, 2000, 2**14), (4, 40, 1)])
 def test_each_shared_prefix_rotated_once(monkeypatch, n, shots, batch_amps):
-    """Each distinct X or Y prefix in a batch is one rotated row, no more."""
+    """Each distinct (letters, outcomes) prefix is one rotated row per X or Y
+    letter, no more, and one product rotates at most max(_BATCH_AMPS, one
+    row) amplitudes."""
     monkeypatch.setattr(shadows_mod, "_BATCH_AMPS", batch_amps)
-    rotated = []
-    def counting(amps, n_, q, mat):
-        rotated.append(len(amps))
-        sv.apply_1q_inplace(amps, n_, q, mat)
-    monkeypatch.setattr(shadows_mod, "apply_1q_inplace", counting)
     state = random_state(n, 300 + n)
+    matmul, rotated = np.matmul, {0: [], 1: []}
+    def counting(mat, rows, **kwargs):
+        letter, = [k for k, rot in _BASIS_ROT.items() if rot is mat]
+        rotated[letter].append(rows.shape)
+        return matmul(mat, rows, **kwargs)
+    monkeypatch.setattr(np, "matmul", counting)
     got = collect_shadows(state, shots, 3)
-    per_batch = max(1, batch_amps >> n)
-    assert sum(rotated) == distinct_rotated_prefixes(got.bases, per_batch)
-    # each level rotates its X rows in one product and its Y rows in another
-    combos = len(np.unique(got.bases, axis=0))
-    assert len(rotated) <= 2 * n * -(-combos // per_batch)
+    monkeypatch.setattr(np, "matmul", matmul)
+    for letter, shapes in rotated.items():
+        assert sum(rows for rows, _, _ in shapes) == rotated_prefixes(got.bases, got.outcomes,
+                                                                      letter)
+        assert all(rows * 2 * half <= max(batch_amps, 2 * half) for rows, _, half in shapes)
+    if batch_amps >= shots * 2**n:  # one chunk per qubit: one X and one Y product each
+        assert len(rotated[0]) + len(rotated[1]) <= 2 * n
+
+
+def _product_state(n, letters, bits):
+    """Tensor product of Pauli eigenstates: letters[q] in XYZ, bits[q] the sign."""
+    sq = 1 / math.sqrt(2)
+    eigen = {(0, 0): [sq, sq], (0, 1): [sq, -sq], (1, 0): [sq, 1j * sq],
+             (1, 1): [sq, -1j * sq], (2, 0): [1, 0], (2, 1): [0, 1]}
+    amps = np.ones(1, complex)
+    for q in range(n):  # qubit 0 is the rightmost factor
+        amps = np.kron(np.array(eigen[(letters[q], bits[q])], complex), amps)
+    return sv.StateVector(n, amps)
+
+
+@st.composite
+def sampling_cases(draw):
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["basis", "product", "ghz", "random"]))
+    if kind == "basis":  # Z halves of exactly zero mass
+        amps = np.zeros(2**n, complex)
+        amps[draw(st.integers(0, 2**n - 1))] = 1.0
+        state = sv.StateVector(n, amps)
+    elif kind == "product":  # |+> products and the like: exact ties
+        letters = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        state = _product_state(n, letters, bits)
+    elif kind == "ghz":  # Bell at n = 2
+        amps = np.zeros(2**n, complex)
+        amps[0] = amps[-1] = 1 / math.sqrt(2)
+        state = sv.StateVector(n, amps)
+    else:
+        state = random_state(n, draw(st.integers(0, 2**32 - 1)))
+    return state, draw(st.integers(0, 64)), draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=300)
+@given(sampling_cases())
+def test_collect_matches_reference_up_to_cdf_rounding(case):
+    """Bases byte-equal; an outcome may differ from the CDF sampler's only
+    where u lies within 1e-12 of a CDF boundary of the reference's outcome."""
+    state, shots, seed = case
+    bases, outcomes = reference_collect(state, shots, seed)
+    got = collect_shadows(state, shots, seed)
+    assert got.bases.tobytes() == bases.tobytes()
+    assert got.outcomes.dtype == outcomes.dtype and got.outcomes.shape == outcomes.shape
+    rng = rng_for(seed)
+    rng.integers(0, 3, size=(shots, state.n), dtype=np.int8)
+    u = rng.random(shots)
+    index = ((1 - outcomes.astype(np.int64)) // 2) @ (1 << np.arange(state.n))
+    for i in np.flatnonzero((got.outcomes != outcomes).any(axis=1)):
+        cdf = reference_cdf(state, bases[i])
+        edges = cdf[index[i] - 1:index[i] + 1] if index[i] else cdf[:1]
+        assert np.min(np.abs(edges - u[i])) <= 1e-12, (i, u[i], edges)
+
+
+@pytest.mark.parametrize("amps", [[0.5, 0.5, 0.5, 0.5], [0.0, 0.6, 0.0, 0.8], [0, 0, 0, 1]])
+def test_walk_breaks_exact_boundaries_like_searchsorted(amps):
+    """A draw exactly on a CDF boundary, zero-mass blocks included, takes the
+    later outcome, as searchsorted(side="right") does."""
+    state = sv.StateVector(2, np.array(amps, dtype=complex))
+    cdf = reference_cdf(state, [2, 2])
+    u = np.concatenate([cdf[:-1], np.nextafter(cdf[:-1], 0), [0.0]])
+    bases = np.full((len(u), 2), 2, dtype=np.int8)
+    outcomes = shadows_mod._Walk(bases, u).run(state.amplitudes)
+    bits = np.searchsorted(cdf, u, side="right")
+    assert outcomes.tolist() == (1 - 2 * ((bits[:, None] >> np.arange(2)) & 1)).tolist()
+
+
+@pytest.mark.parametrize("shots", [20, 2000])
+def test_collect_peak_memory_at_n16(shots):
+    """The walk holds at most three state sizes at n = 16."""
+    state = random_state(16, 116)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        collect_shadows(state, shots, 4)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 3 * state.amplitudes.nbytes
 
 
 def test_bases_uniform():
