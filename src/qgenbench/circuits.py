@@ -73,31 +73,11 @@ class RotationLayer:
 class CZLayer:
     edges: Tuple[Tuple[int, int], ...]
 
-    def __post_init__(self):
-        seen = set()
-        for a, b in self.edges:
-            if a == b:
-                raise ValueError("CZ self-loop")
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                raise ValueError("duplicate CZ edge")
-            seen.add(key)
-
 
 @dataclass(frozen=True)
 class BrickLayer:
     pairs: Tuple[Tuple[int, int], ...]
     param_ids: Tuple[Tuple[int, ...], ...]  # 15 ids per brick
-
-    def __post_init__(self):
-        used: Set[int] = set()
-        for a, b in self.pairs:
-            if a in used or b in used or a == b:
-                raise ValueError("brick supports must be pairwise disjoint")
-            used.update((a, b))
-        for ids in self.param_ids:
-            if len(ids) != BRICK_PARAMS:
-                raise ValueError(f"each brick takes {BRICK_PARAMS} parameters")
 
 
 Layer = Union[RotationLayer, CZLayer, BrickLayer]
@@ -152,6 +132,7 @@ class Circuit:
     def __post_init__(self):
         """Reject IR the engines would index past or silently mis-simulate.
 
+        This is the one check of the IR: the layer records check nothing.
         Qubit counts, qubits and parameter ids must be exact Python ints: a
         float or a bool would be truncated or mis-indexed by the engines.
         Angles must not be bools, which would run as 0 or 1 radian.
@@ -175,12 +156,24 @@ class Circuit:
                                      f"for {n} qubits")
                 if _has_bool(layer.angles) or not all(map(math.isfinite, layer.angles)):
                     raise ValueError("rotation angles must be finite numbers")
-            pairs = (layer.edges if isinstance(layer, CZLayer)
-                     else layer.pairs if isinstance(layer, BrickLayer) else ())
+                continue
+            if not isinstance(layer, (CZLayer, BrickLayer)):
+                raise ValueError(f"not a layer record: {layer!r}")
+            pairs = layer.edges if isinstance(layer, CZLayer) else layer.pairs
             if not all(type(a) is int and type(b) is int and 0 <= a < n and 0 <= b < n
-                       for a, b in pairs):
-                raise ValueError(f"qubit pairs must be integers inside the {n}-qubit "
-                                 f"register: {pairs}")
+                       and a != b for a, b in pairs):
+                raise ValueError(f"qubit pairs must join two distinct integer qubits inside "
+                                 f"the {n}-qubit register: {pairs}")
+            if isinstance(layer, CZLayer):
+                if len(set(map(frozenset, pairs))) < len(pairs):
+                    raise ValueError("a CZ layer lists each pair once, in either orientation")
+                continue
+            qubits = [q for pair in pairs for q in pair]
+            if len(set(qubits)) < len(qubits):
+                raise ValueError("bricks must sit on disjoint pairs")
+            if (len(layer.param_ids) != len(pairs)
+                    or any(len(ids) != BRICK_PARAMS for ids in layer.param_ids)):
+                raise ValueError(f"each brick takes one group of {BRICK_PARAMS} parameter ids")
         ids = [pid for layer in self.layers if isinstance(layer, BrickLayer)
                for brick in layer.param_ids for pid in brick]
         if ids and (set(map(type, ids)) != {int} or len(set(ids)) < len(ids)
@@ -349,34 +342,29 @@ def backward_lightcone(circuit: Circuit, support: Set[int]) -> Tuple[List[Set[in
     return history, cone
 
 
+# The JSON tag of each layer record; a layer's other keys are the record's fields.
+_LAYER_TAGS = {"rot": RotationLayer, "cz": CZLayer, "brick": BrickLayer}
+
+
 def circuit_to_json_obj(circuit: Circuit) -> dict:
-    layers = []
-    for layer in circuit.layers:
-        if isinstance(layer, RotationLayer):
-            layers.append({"type": "rot", "axis": layer.axis, "role": layer.role,
-                           "angles": list(layer.angles)})
-        elif isinstance(layer, CZLayer):
-            layers.append({"type": "cz", "edges": [list(e) for e in layer.edges]})
-        elif isinstance(layer, BrickLayer):
-            layers.append({"type": "brick", "pairs": [list(p) for p in layer.pairs],
-                           "param_ids": [list(i) for i in layer.param_ids]})
-        else:
-            raise TypeError(f"unknown layer {layer!r}")
-    return {"n": circuit.n, "theta": [float(t) for t in circuit.theta], "layers": layers}
+    tags = {cls: tag for tag, cls in _LAYER_TAGS.items()}
+    return {"n": circuit.n, "theta": [float(t) for t in circuit.theta],
+            "layers": [{"type": tags[type(layer)], **vars(layer)} for layer in circuit.layers]}
+
+
+def _tuples(value):
+    """JSON lists, at any depth, as the tuples the layer records hold."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 def circuit_from_json_obj(obj: dict) -> Circuit:
     layers: List[Layer] = []
     for d in obj["layers"]:
-        if d["type"] == "rot":
-            layers.append(RotationLayer(d["axis"], d["role"], tuple(d["angles"])))
-        elif d["type"] == "cz":
-            layers.append(CZLayer(tuple(tuple(e) for e in d["edges"])))
-        elif d["type"] == "brick":
-            layers.append(BrickLayer(tuple(tuple(p) for p in d["pairs"]),
-                                     tuple(tuple(i) for i in d["param_ids"])))
-        else:
-            raise ValueError(f"unknown layer type {d['type']!r}")
+        fields = {**d}
+        tag = fields.pop("type")
+        if tag not in _LAYER_TAGS:
+            raise ValueError(f"unknown layer type {tag!r}")
+        layers.append(_LAYER_TAGS[tag](**{k: _tuples(v) for k, v in fields.items()}))
     return Circuit(obj["n"], tuple(layers), obj["theta"])
 
 

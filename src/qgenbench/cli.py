@@ -83,6 +83,11 @@ def cmd_gen(args) -> int:
     check_size("--layers", args.layers, 0)
     check_size("--trainable-depth", args.trainable_depth, 0)
     check_p("--p", args.p)
+    # as in a config: an explicit tau2 takes the place of a non-default preset
+    if args.tau2 is not None and args.tau2_preset != "constant":
+        raise ConfigError(f"--tau2 and --tau2-preset {args.tau2_preset} both set; give one")
+    if args.init != "uniform" and not args.trainable_depth:
+        raise ConfigError(f"--init {args.init} needs a --trainable-depth of 1 or more")
     layers = args.layers
     p = args.p if args.p is not None else default_p(args.n)
     tau2 = args.tau2 if args.tau2 is not None else resolve_tau2(args.tau2_preset, args.n, layers)

@@ -84,6 +84,8 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:  # ValueError: a pair of the wrong length
             raise ConfigError(f"subsystem must list qubits and sigma [qubit, letter] pairs: "
                               f"{exc}", "bad-config") from exc
+        if not self.subsystem:
+            raise ConfigError("subsystem must name one or more qubits", "bad-config")
         if (not self.sigma or not all(l in ("X", "Y", "Z") for _, l in self.sigma)
                 or len({q for q, _ in self.sigma}) < len(self.sigma)):
             raise ConfigError(f"sigma must pair one or more distinct qubits with X, Y or Z: "
@@ -319,9 +321,8 @@ def gradient_variance_experiment(config: ExperimentConfig) -> List[dict]:
 
 
 def lightcone_spread_experiment(config: ExperimentConfig) -> List[dict]:
-    """Covered fraction of the backward light cone from one qubit."""
+    """Covered fraction of the backward light cone of the subsystem."""
     rows = []
-    start = min(config.subsystem) if config.subsystem else 0
     for n in config.ns:
         L = config.resolved_layers(n)
         p = config.resolved_p(n)
@@ -329,7 +330,7 @@ def lightcone_spread_experiment(config: ExperimentConfig) -> List[dict]:
         for trial in range(config.trials):
             # the cone depends only on the CZ graphs, whose draws do not depend on tau2
             spec = GenerativeSpec(n, L, p, TAU2_CONSTANT, derive_seed(config.seed, n, trial))
-            _, cone = backward_lightcone(build_generative(spec), {start})
+            _, cone = backward_lightcone(build_generative(spec), set(config.subsystem))
             fracs[trial] = len(cone) / n
         rows.append({"n": n, "L": L, "p": p, "trials": config.trials,
                      "mean_frac": float(fracs.mean()), "min_frac": float(fracs.min())})

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qgenbench.circuits import (BRICK_PARAMS, BrickLayer, Circuit, CZLayer,
+from qgenbench.circuits import (BRICK_PARAMS, BrickLayer, Circuit, CZLayer, Gate,
                                 GenerativeSpec, RotationLayer, backward_lightcone,
                                 brick_pairs, build_generative,
                                 build_trainable, circuit_from_json, circuit_to_json,
@@ -112,15 +112,11 @@ def test_circuit_json_round_trip():
     full = concatenate(gen, build_trainable(5, 2, seed=3))
     back = circuit_from_json(circuit_to_json(full))
     assert circuit_to_json(back) == circuit_to_json(full)
-
-
-def test_brick_layer_invariants():
-    with pytest.raises(ValueError):
-        BrickLayer(((0, 1), (1, 2)), (tuple(range(15)), tuple(range(15, 30))))
-    with pytest.raises(ValueError):
-        CZLayer(((0, 0),))
-    with pytest.raises(ValueError):
-        CZLayer(((0, 1), (0, 1)))
+    # a CZ pair keeps the orientation it was listed in
+    reversed_cz = Circuit(3, (CZLayer(((1, 0), (2, 1), (0, 2))),))
+    back = circuit_from_json(circuit_to_json(reversed_cz))
+    assert back.layers == reversed_cz.layers
+    assert circuit_to_json(back) == circuit_to_json(reversed_cz)
 
 
 def test_param_ids_unique():
@@ -145,10 +141,19 @@ def test_param_ids_unique():
     RotationLayer("X", "zzz", (0.1,) * 4),  # neither resampled nor trained
     RotationLayer("X", "gen", (True, False, 0.1, 0.2)),  # would run as 1 and 0 radian
     RotationLayer("Y", "gen", (0.1, np.True_, 0.0, 0.0)),
+    BrickLayer(((0, 1), (1, 2)), (tuple(range(15)), tuple(range(15, 30)))),  # overlap
+    CZLayer(((0, 0),)),  # a self-loop
+    CZLayer(((0, 1), (0, 1))),  # a duplicate edge
+    CZLayer(((0, 1), (1, 0))),  # the same edge, reversed
+    BrickLayer(((0, 1), (2, 3)), (tuple(range(15)),)),  # would drop its second brick
+    BrickLayer(((0, 1),), (tuple(range(15)), tuple(range(15, 30)))),
+    BrickLayer(((0, 1),), (tuple(range(14)),)),
+    Gate("CZ", (0, 1)),  # not a layer record
 ])
 def test_circuit_rejects_malformed_layers(layer):
+    # theta has room for two bricks, so every case fails its own rule
     with pytest.raises(ValueError):
-        Circuit(4, (layer,), np.zeros(15))
+        Circuit(4, (layer,), np.zeros(2 * BRICK_PARAMS))
 
 
 @pytest.mark.parametrize("n, theta", [(2.0, ()), (-1, ()), (0, ()), (True, ()),

@@ -123,8 +123,23 @@ _BRICK_IDS = list(range(15))
     {"n": 4, "theta": [], "layers": [{**_ROT4, "angles": [True, False, 0.1, 0.1]}]},
     {"n": 4, "theta": [True] + [0.0] * 14, "layers": [
         _ROT4, {"type": "brick", "pairs": [[0, 1]], "param_ids": [_BRICK_IDS]}]},
+    {"n": 4, "theta": [], "layers": [_ROT4, {"type": "cz", "edges": [[1, 1]]}]},
+    {"n": 4, "theta": [], "layers": [_ROT4, {"type": "cz", "edges": [[0, 1], [1, 0]]}]},
+    {"n": 4, "theta": [0.0] * 30, "layers": [
+        _ROT4, {"type": "brick", "pairs": [[0, 1], [1, 2]],
+                "param_ids": [_BRICK_IDS, list(range(15, 30))]}]},
+    {"n": 4, "theta": [0.0] * 15, "layers": [
+        _ROT4, {"type": "brick", "pairs": [[0, 1]], "param_ids": [_BRICK_IDS[:14]]}]},
+    {"n": 4, "theta": [0.0] * 30, "layers": [
+        _ROT4, {"type": "brick", "pairs": [[0, 1], [2, 3]], "param_ids": [_BRICK_IDS]}]},
+    {"n": 4, "theta": [], "layers": [_ROT4, {"type": "cz", "edges": [[0, 1]],
+                                             "weights": [0.5]}]},
+    {"n": 4, "theta": [], "layers": [_ROT4, {"type": "swap", "pairs": [[0, 1]]}]},
+    {"n": 4, "theta": [], "layers": [{"type": "rot", "axis": "X", "role": "gen"}]},
 ], ids=["float_edge", "bool_edge", "float_param_id", "float_n", "negative_n", "zero_n",
-        "unknown_role", "2d_theta", "bool_angles", "bool_theta"])
+        "unknown_role", "2d_theta", "bool_angles", "bool_theta", "self_loop",
+        "reversed_duplicate_edge", "overlapping_bricks", "14_ids", "id_groups_ne_pairs",
+        "extra_key", "unknown_type", "missing_key"])
 @pytest.mark.parametrize("command", [["features", "--tau2", "0.1", "--samples", "2"],
                                      ["features", "--tau2", "0.1", "--samples", "2",
                                       "--backend", "propagation"],
@@ -233,6 +248,8 @@ def test_unread_fields_at_default_accepted(tmp_path, experiment):
     {"experiment": "subvolume", "ns": [25], "trials": 2},
     {"experiment": "subvolume", "ns": [4], "tau2": 0.1, "tau2_preset": "bogus", "trials": 2},
     {"experiment": "gradvar", "ns": [4], "tau2": 0.1, "tau2_preset": "constant", "trials": 2},
+    {"experiment": "lightcone", "ns": [20], "subsystem": [], "trials": 1},
+    {"experiment": "subvolume", "ns": [4], "subsystem": [], "trials": 2},
     None, 5, [{}], [1],
 ] + [{"experiment": e, **UNREAD_BASES[e], f: v} for e, f, v in UNREAD_FIELDS],
    ids=["pauliprop_ns_33", "pauliprop_ns_4_40", "treewidth_p_2", "lightcone_tau2_0",
@@ -244,7 +261,8 @@ def test_unread_fields_at_default_accepted(tmp_path, experiment):
         "sigma_not_pairs", "subsystem_not_list", "subvolume_tau2_0.3", "gradvar_tau2_0.3",
         "pauliprop_tau2_0.3", "pauliprop_tau2_5", "subvolume_unknown_preset",
         "sigma_qubit_twice", "sigma_empty", "subvolume_ns_25",
-        "subvolume_tau2_with_bogus_preset", "gradvar_tau2_with_constant_preset", "config_null",
+        "subvolume_tau2_with_bogus_preset", "gradvar_tau2_with_constant_preset",
+        "lightcone_subsystem_empty", "subvolume_subsystem_empty", "config_null",
         "config_number", "config_list", "config_list_seed_override"]
    + [f"{e}_unread_{f}" for e, f, _ in UNREAD_FIELDS])
 def test_experiment_rejected_config_exit_2(tmp_path, capsys, obj):
@@ -450,6 +468,8 @@ def features_circuit(tmp_path, name):
     ["features", "--circuit", "N33", "--backend", "propagation"],
     ["features", "--circuit", "CIRCUIT", "--observables", "ZQZ"],
     ["gen", "--n", "4", "--layers", "1", "--tau2", "0.3"],
+    ["gen", "--n", "4", "--layers", "1", "--tau2", "0.1", "--tau2-preset", "theorem"],
+    ["gen", "--n", "4", "--layers", "1", "--init", "zeros"],
     ["features", "--circuit", "CIRCUIT", "--tau2", "0.3"],
     ["features", "--circuit", "WIDE_TAU2"],
     ["gen", "--n", "4", "--layers", "1", "--seed", "-1"],

@@ -128,6 +128,14 @@ def test_lightcone_rows():
         assert r["min_frac"] <= r["mean_frac"]
 
 
+def test_lightcone_grows_from_the_whole_subsystem():
+    def mean_frac(subsystem):
+        c = cfg(experiment="lightcone", ns=(10,), trials=20, seed=4, subsystem=subsystem)
+        return lightcone_spread_experiment(c)[0]["mean_frac"]
+
+    assert mean_frac((0, 7)) > mean_frac((0,))  # equal if qubit 7 were ignored
+
+
 def test_write_read_csv_round_trip(tmp_path):
     rows = [{"a": 1, "b": 0.1, "c": "x"}, {"a": 2, "b": float("1e-17"), "c": ""}]
     path = str(tmp_path / "t.csv")

@@ -59,8 +59,9 @@ def test_deterministic():
     np.testing.assert_array_equal(a.outcomes, b.outcomes)
 
 
-# both sides of the old two-path switch, and n = 16, where a batch holds
-# one combination and every rotation runs in place on its one copy
+# both sides of the reference's two-path switch, and n = 16, whose top rows
+# are larger than `_BATCH_AMPS`: there a level's buffer holds one row's two
+# halves, not a chunk of rows
 @pytest.mark.parametrize("n, shots", [(3, 300), (10, 40), (16, 20)])
 def test_collect_leaves_state_untouched(n, shots):
     assert (3**n <= REFERENCE_ENUMERATE_LIMIT) == (n == 3)
