@@ -8,6 +8,7 @@ rows are emitted in (n, trial) order regardless of execution order.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import numbers
@@ -23,16 +24,22 @@ from .circuits import (BRICK_PARAMS, TAU2_CONSTANT, Circuit, BrickLayer, Generat
 from .metrics import distinguishability, weak_subvolume_gap
 from .pauli import PauliString, PauliSum, PauliTerm
 from .propagation import MAX_PROP_QUBITS, TruncationPolicy, benchmark_propagation
-from .graphs import treewidth_trend
+from .graphs import MAX_GRAPH_VERTICES, treewidth_trend
 from .seeding import derive_seed, rng_for
 from .statevector import (MAX_SV_QUBITS, expectation, parameter_shift_gradient,
                           reduced_density_matrix, run)
 
-try:
-    from importlib.metadata import version as _pkg_version
-    VERSION = _pkg_version("qgenbench")
-except Exception:  # pragma: no cover - not installed
-    VERSION = "0.1.0+local"
+
+@functools.cache
+def package_version() -> str:
+    """The installed package's version; looked up on the first manifest only,
+    since importing importlib.metadata costs a noticeable share of start-up."""
+    from importlib.metadata import PackageNotFoundError, version
+    try:
+        return version("qgenbench")
+    except PackageNotFoundError:
+        return "0.1.0+local"
+
 
 # The optional config fields each experiment reads, besides experiment, ns,
 # trials and seed, which all of them read.  Any other field must keep its default.
@@ -104,7 +111,7 @@ class ExperimentConfig:
             if getattr(self, name) is not None:
                 setattr(self, name, check_size(name, getattr(self, name), least))
         engine = {"subvolume": "statevector", "gradvar": "statevector",
-                  "pauliprop": "propagation"}.get(self.experiment)
+                  "pauliprop": "propagation", "treewidth": "graphs"}.get(self.experiment)
         if engine:
             check_qubits(max(self.ns), engine)
         if self.experiment == "gradvar":
@@ -204,8 +211,10 @@ def check_tau2(name: str, value) -> None:
 
 
 def check_qubits(n: int, engine: str) -> None:
-    """At most as many qubits as `engine` ("statevector" or "propagation") simulates."""
-    cap = MAX_SV_QUBITS if engine == "statevector" else MAX_PROP_QUBITS
+    """At most as many qubits as `engine` ("statevector", "propagation" or
+    "graphs") handles."""
+    cap = {"statevector": MAX_SV_QUBITS, "propagation": MAX_PROP_QUBITS,
+           "graphs": MAX_GRAPH_VERTICES}[engine]
     if n > cap:
         raise ConfigError(f"the {engine} engine caps at {cap} qubits, got n={n}", "bad-config")
 
@@ -390,7 +399,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> Dict[str, str]:
     csv_path = os.path.join(out_dir, f"{config.experiment}.csv")
     write_csv(csv_path, rows)
     manifest = {
-        "version": f"qgenbench-{VERSION}",
+        "version": f"qgenbench-{package_version()}",
         "config": config.to_json_obj(),
         "master_seed": config.seed,
         "seed_derivation": "default_rng(SeedSequence([master, *indices])); "

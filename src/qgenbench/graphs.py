@@ -42,44 +42,46 @@ def interaction_graph(circuit: Circuit, support: Set[int]) -> LayerGraph:
     return LayerGraph(len(vertices), tuple(sorted(edges)))
 
 
+# Every count the kernels keep is an integer below n**2, which float32 holds
+# exactly up to 2**24 = 4096**2.
+MAX_GRAPH_VERTICES = 4096
+
+
 def _adjacency_matrix(graph: LayerGraph) -> np.ndarray:
-    """Dense symmetric 0/1 adjacency matrix, n x n float64."""
-    adj = np.zeros((graph.n, graph.n))
+    """Dense symmetric 0/1 adjacency matrix, n x n float32."""
+    if graph.n > MAX_GRAPH_VERTICES:
+        raise ValueError(f"graphs cap at {MAX_GRAPH_VERTICES} vertices, got n={graph.n}")
+    adj = np.zeros((graph.n, graph.n), dtype=np.float32)
     if graph.edges:
         a, b = np.array(graph.edges).T
         adj[a, b] = adj[b, a] = 1
     return adj
 
 
-def _twice_fill(adj: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Twice the fill and the degree of each v in `rows`.
-
-    Twice the fill is 2 x (non-adjacent pairs in N(v)) = d(d-1) - 2|E(N(v))|.
-    Every count is an integer far below 2**53, so float64 holds it exactly.
-    """
-    sub = adj[rows]
-    deg = sub.sum(axis=1)
-    return deg * (deg - 1) - ((sub @ adj) * sub).sum(axis=1), deg
-
-
 def min_fill_width(graph: LayerGraph) -> Tuple[int, EliminationOrder]:
     """Treewidth upper bound: eliminate the vertex needing fewest fill edges.
 
     Ties go to the lowest vertex index; the width is the largest neighborhood
-    met at elimination time.  The graph is held as a dense n x n float64
-    matrix (O(n^2) memory).  Twice-fill and degree arrays are counted once
-    and then updated as v, with N = N(v) and k = |N|, is eliminated:
+    met at elimination time.  The graph is held as a dense n x n float32
+    matrix (O(n^2) memory).  Twice the fill, d(d-1) - 2|E(N(v))|, is counted
+    for every vertex with one A @ A product; it and the degrees are then
+    updated as v, with N = N(v) and k = |N|, is eliminated:
 
     - v simplicial (fill 0, N a clique): no edge is added, and only N(w) for
       w in N loses v, which was adjacent to k - 1 of w's other neighbours,
       so fill[w] -= 2(deg[w] - k) and deg[w] -= 1.
-    - otherwise, with F the k x k block of edges missing inside N and
-      M = adj[:, N], every w loses the new edges inside N(w):
-      fill -= rowsum((M @ F) * M).  After the clique is added and v removed,
-      only the k rows of N are recounted.
+    - otherwise, with v removed, R = A[N] (k x n, and R.T = A[:, N]) and F
+      the k x k block of edges missing inside N, every vertex loses twice
+      the new edges inside its neighbourhood: fill -= colsum(P) with
+      P = (F @ R) * R.  A w in N then trades v, which missed all a of w's
+      neighbours outside N, for its g = rowsum(F) new neighbours.  With P'
+      = P with the columns of N zeroed, rowsum(P')[w] counts the edges
+      between those a and those g, so fill[w] += 2(g a - rowsum(P')[w] - a)
+      and deg[w] += g - 1.  The step costs k^2 n, the one product F @ R.
     """
     adj = _adjacency_matrix(graph)
-    fill, deg = _twice_fill(adj, np.arange(graph.n))
+    deg = adj.sum(axis=1)
+    fill = deg * (deg - 1) - ((adj @ adj) * adj).sum(axis=1)
     order: List[int] = []
     width = 0
     for _ in range(graph.n):
@@ -87,19 +89,25 @@ def min_fill_width(graph: LayerGraph) -> Tuple[int, EliminationOrder]:
         nbrs = np.flatnonzero(adj[v])
         k = len(nbrs)
         width = max(width, k)
-        adj[v, nbrs] = adj[nbrs, v] = 0.0
+        adj[v] = 0.0
+        adj[:, v] = 0.0
         if fill[v] == 0:
             fill[nbrs] -= 2 * (deg[nbrs] - k)
             deg[nbrs] -= 1
         else:
-            block = np.ix_(nbrs, nbrs)
-            missing = 1.0 - adj[block]
-            np.fill_diagonal(missing, 0.0)
-            cols = adj[:, nbrs]
-            fill -= ((cols @ missing) * cols).sum(axis=1)
-            adj[block] = 1.0
+            rows = adj[nbrs]
+            missing = 1.0 - rows[:, nbrs]
+            missing.flat[::k + 1] = 0.0
+            paths = (missing @ rows) * rows
+            fill -= paths.sum(axis=0)
+            paths[:, nbrs] = 0.0
+            net = missing.sum(axis=1) - 1  # g - 1: g new neighbours in, v out
+            old = deg[nbrs]
+            outside = old - k + 1 + net  # a, since deg[w] = a + 1 + (k - 1 - g)
+            fill[nbrs] += 2 * (outside * net - paths.sum(axis=1))
+            deg[nbrs] = old + net
+            adj[nbrs[:, None], nbrs] = 1.0
             adj[nbrs, nbrs] = 0.0
-            fill[nbrs], deg[nbrs] = _twice_fill(adj, nbrs)
         fill[v] = np.inf
         order.append(v)
     return width, EliminationOrder(tuple(order), width)

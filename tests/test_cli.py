@@ -250,6 +250,7 @@ def test_unread_fields_at_default_accepted(tmp_path, experiment):
     {"experiment": "gradvar", "ns": [4], "tau2": 0.1, "tau2_preset": "constant", "trials": 2},
     {"experiment": "lightcone", "ns": [20], "subsystem": [], "trials": 1},
     {"experiment": "subvolume", "ns": [4], "subsystem": [], "trials": 2},
+    {"experiment": "treewidth", "ns": [20, 5000], "trials": 1},
     None, 5, [{}], [1],
 ] + [{"experiment": e, **UNREAD_BASES[e], f: v} for e, f, v in UNREAD_FIELDS],
    ids=["pauliprop_ns_33", "pauliprop_ns_4_40", "treewidth_p_2", "lightcone_tau2_0",
@@ -262,7 +263,8 @@ def test_unread_fields_at_default_accepted(tmp_path, experiment):
         "pauliprop_tau2_0.3", "pauliprop_tau2_5", "subvolume_unknown_preset",
         "sigma_qubit_twice", "sigma_empty", "subvolume_ns_25",
         "subvolume_tau2_with_bogus_preset", "gradvar_tau2_with_constant_preset",
-        "lightcone_subsystem_empty", "subvolume_subsystem_empty", "config_null",
+        "lightcone_subsystem_empty", "subvolume_subsystem_empty", "treewidth_ns_5000",
+        "config_null",
         "config_number", "config_list", "config_list_seed_override"]
    + [f"{e}_unread_{f}" for e, f, _ in UNREAD_FIELDS])
 def test_experiment_rejected_config_exit_2(tmp_path, capsys, obj):
@@ -438,6 +440,7 @@ def features_circuit(tmp_path, name):
     ["graph-stats", "--ns", "0"],
     ["graph-stats", "--ns", "20", "--trials", "0"],
     ["graph-stats", "--ns", "20", "--layers", "0"],
+    ["graph-stats", "--ns", "5000"],
     ["gen", "--n", "4", "--layers", "1", "--p", "2"],
     ["gen", "--n", "4", "--layers", "1", "--p", "-0.5"],
     ["gen", "--n", "4", "--layers", "1", "--tau2", "0"],

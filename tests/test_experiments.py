@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -166,6 +168,20 @@ def test_run_experiment_byte_identical(tmp_path):
     for key in ("csv", "manifest"):
         with open(p1[key], "rb") as f1, open(p2[key], "rb") as f2:
             assert f1.read() == f2.read()
+
+
+def test_version_is_looked_up_at_the_first_manifest(tmp_path):
+    # importing importlib.metadata costs every process start-up about 15 ms
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    code = ("import sys, qgenbench.cli, qgenbench.experiments as e\n"
+            "before = 'importlib.metadata' in sys.modules\n"
+            f"e.run_experiment(e.ExperimentConfig('treewidth', (5,), trials=1), {str(tmp_path)!r})\n"
+            "print(before, 'importlib.metadata' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["False", "True"]
+    with open(tmp_path / "treewidth.manifest.json") as fh:
+        assert json.load(fh)["version"].startswith("qgenbench-")
 
 
 def test_run_experiment_unwritable(tmp_path):

@@ -10,9 +10,8 @@ from qgenbench.circuits import (Circuit, CZLayer, GenerativeSpec, LayerGraph,
                                 sample_er_graph)
 from qgenbench.cli import main
 from qgenbench.experiments import read_csv
-from qgenbench.graphs import (_adjacency_matrix, _twice_fill, degeneracy,
-                              interaction_graph, min_fill_width, treewidth_trend,
-                              union_graph)
+from qgenbench.graphs import (MAX_GRAPH_VERTICES, degeneracy, interaction_graph,
+                              min_fill_width, treewidth_trend, union_graph)
 from qgenbench.seeding import derive_seed, rng_for
 
 
@@ -68,6 +67,51 @@ def reference_degeneracy(graph):
         adj[v] = 0
         alive &= ~(1 << v)
     return result
+
+
+def _adjacency_matrix(graph):
+    adj = np.zeros((graph.n, graph.n))
+    if graph.edges:
+        a, b = np.array(graph.edges).T
+        adj[a, b] = adj[b, a] = 1
+    return adj
+
+
+def _twice_fill(adj, rows):
+    """Twice the fill, d(d-1) - 2|E(N(v))|, and the degree of each v in `rows`."""
+    sub = adj[rows]
+    deg = sub.sum(axis=1)
+    return deg * (deg - 1) - ((sub @ adj) * sub).sum(axis=1), deg
+
+
+def reference_incremental_min_fill(graph):
+    """The float64 kernel that the closed-form neighbourhood update replaced:
+    it updates every vertex's fill, then recounts the k rows of N(v) against
+    the whole matrix after each non-simplicial elimination."""
+    adj = _adjacency_matrix(graph)
+    fill, deg = _twice_fill(adj, np.arange(graph.n))
+    order, width = [], 0
+    for _ in range(graph.n):
+        v = int(np.argmin(fill))
+        nbrs = np.flatnonzero(adj[v])
+        k = len(nbrs)
+        width = max(width, k)
+        adj[v, nbrs] = adj[nbrs, v] = 0.0
+        if fill[v] == 0:
+            fill[nbrs] -= 2 * (deg[nbrs] - k)
+            deg[nbrs] -= 1
+        else:
+            block = np.ix_(nbrs, nbrs)
+            missing = 1.0 - adj[block]
+            np.fill_diagonal(missing, 0.0)
+            cols = adj[:, nbrs]
+            fill -= ((cols @ missing) * cols).sum(axis=1)
+            adj[block] = 1.0
+            adj[nbrs, nbrs] = 0.0
+            fill[nbrs], deg[nbrs] = _twice_fill(adj, nbrs)
+        fill[v] = np.inf
+        order.append(v)
+    return width, tuple(order)
 
 
 def reference_recount_min_fill(graph):
@@ -279,6 +323,21 @@ def shaped_graphs(draw, depth=1):
 def test_min_fill_matches_recount_reference_bitwise(graph):
     width, order = min_fill_width(graph)
     assert (width, order.order) == reference_recount_min_fill(graph)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=st.one_of(workload_graphs(), shaped_graphs()))
+def test_min_fill_matches_incremental_reference_bitwise(graph):
+    width, order = min_fill_width(graph)
+    assert (width, order.order) == reference_incremental_min_fill(graph)
+
+
+@pytest.mark.parametrize("bracket", [min_fill_width, degeneracy],
+                         ids=["min_fill_width", "degeneracy"])
+def test_brackets_reject_graphs_past_float32_range(bracket):
+    assert MAX_GRAPH_VERTICES**2 <= 2**24  # every count stays exact in float32
+    with pytest.raises(ValueError, match="4096"):
+        bracket(LayerGraph(MAX_GRAPH_VERTICES + 1, ()))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 64])
