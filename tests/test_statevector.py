@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgenbench.circuits import (BRICK_PARAMS, BrickLayer, Circuit, CZLayer, GenerativeSpec,
-                                RotationLayer, Gate, build_generative, build_trainable,
-                                concatenate)
+                                RotationLayer, Gate, brick_pairs, build_generative,
+                                build_trainable, concatenate, default_depth, default_layers,
+                                default_p, resolve_tau2)
+from qgenbench.experiments import default_shift_param
 from qgenbench.pauli import PauliString, PauliSum, PauliTerm
 from qgenbench.statevector import (StateVector, apply_1q_inplace, apply_gate, apply_pauli,
                                    dense_pauli_matrix, expectation,
@@ -58,6 +60,16 @@ def test_expectation_trivial():
     bell = bell_state()
     assert expectation(bell, PauliSum.from_label(1.0, "XX")) == pytest.approx(1.0)
     assert expectation(bell, PauliSum.from_label(1.0, "ZI")) == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("label", ["ZI", "IIIIIZ"])
+def test_observable_must_act_on_the_state_qubits(label):
+    """A narrower observable used to read 1.0 and a wider one to raise IndexError."""
+    obs = PauliSum.from_label(1.0, label)
+    with pytest.raises(ValueError, match="observable acts on"):
+        expectation(StateVector.zero(4), obs)
+    with pytest.raises(ValueError, match="observable acts on"):
+        parameter_shift_gradient(build_trainable(4, 2, seed=1), 0, obs)
 
 
 def test_expectation_matches_dense():
@@ -187,14 +199,16 @@ _ANGLES = st.floats(-math.pi, math.pi, allow_nan=False)
 
 @st.composite
 def random_circuits(draw, min_n=1, trainable=False):
-    """Random mixes of rotation, CZ and brick layers on 1-7 qubits.
+    """Random mixes of rotation, CZ and brick layers on 1-10 qubits.
 
-    CZ layers may be empty and list edges in either orientation; brick pairs
-    come from a random qubit permutation, so they are reversed and
-    non-adjacent as often as not.  With `trainable`, at least one brick
-    layer has a brick.
+    CZ layers may be empty and list edges in either orientation.  Brick
+    pairs come either from a random qubit permutation, so they are reversed
+    and non-adjacent as often as not, or from a prefix of the chain pairs
+    `brick_pairs` lays out at offset 0 or 1: neighbouring bricks, lone
+    bricks and odd brick counts.  With `trainable`, at least one brick layer
+    has a brick.
     """
-    n = draw(st.integers(min_n, 7))
+    n = draw(st.integers(min_n, 10))
     kinds = draw(st.lists(st.sampled_from(["rot", "cz", "brick"]), max_size=6))
     if trainable:
         kinds.insert(draw(st.integers(0, len(kinds))), "trainable")
@@ -209,9 +223,16 @@ def random_circuits(draw, min_n=1, trainable=False):
             layers.append(CZLayer(tuple(e[::-1] if draw(st.booleans()) else e
                                         for e in chosen)))
         else:
-            order = draw(st.permutations(range(n)))
-            k = draw(st.integers(1 if kind == "trainable" else 0, n // 2))
-            pairs = tuple((order[2 * i], order[2 * i + 1]) for i in range(k))
+            least = 1 if kind == "trainable" else 0
+            if draw(st.booleans()):
+                offsets = [o for o in (0, 1) if len(brick_pairs(n, o)) >= least]
+                chain = brick_pairs(n, draw(st.sampled_from(offsets)))
+                pairs = chain[:draw(st.integers(least, len(chain)))]
+            else:
+                order = draw(st.permutations(range(n)))
+                k = draw(st.integers(least, n // 2))
+                pairs = tuple((order[2 * i], order[2 * i + 1]) for i in range(k))
+            k = len(pairs)
             ids = tuple(tuple(range(next_id + BRICK_PARAMS * i, next_id + BRICK_PARAMS * (i + 1)))
                         for i in range(k))
             next_id += BRICK_PARAMS * k
@@ -239,32 +260,70 @@ def _dense_gate(gate, n):
     return math.cos(gate.angle) * np.eye(2**n) - 1j * math.sin(gate.angle) * gen
 
 
+def _fold(circ, theta=None):
+    state = StateVector.zero(circ.n)
+    for gate in circ.gates(theta):
+        state = apply_gate(state, gate)
+    return state
+
+
 @given(random_circuits())
 @settings(max_examples=80)
 def test_run_matches_gate_fold_and_dense_product(circ):
-    n = circ.n
-    fold = StateVector.zero(n)
-    dense = StateVector.zero(n).amplitudes
-    for gate in circ.gates():
-        fold = apply_gate(fold, gate)
-        dense = _dense_gate(gate, n) @ dense
     got = run(circ).amplitudes
-    np.testing.assert_allclose(got, fold.amplitudes, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, _fold(circ).amplitudes, rtol=0, atol=1e-12)
+    if circ.n <= 7:
+        dense = StateVector.zero(circ.n).amplitudes
+        for gate in circ.gates():
+            dense = _dense_gate(gate, circ.n) @ dense
+        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
 
 
-@given(st.data())
-@settings(max_examples=60)
-def test_shared_prefix_gradient_matches_two_runs(data):
-    circ = data.draw(random_circuits(min_n=2, trainable=True))
-    obs = data.draw(random_observables(circ.n))
+@st.composite
+def shift_cases(draw):
+    """(circuit, params, observable): a parameter of the first, middle and last brick layer."""
+    circ = draw(random_circuits(min_n=2, trainable=True))
+    obs = draw(random_observables(circ.n))
     bricks = [layer for layer in circ.layers if isinstance(layer, BrickLayer) and layer.pairs]
-    for layer in {id(b): b for b in (bricks[0], bricks[len(bricks) // 2], bricks[-1])}.values():
-        param = data.draw(st.sampled_from([p for ids in layer.param_ids for p in ids]))
+    params = [draw(st.sampled_from([p for ids in layer.param_ids for p in ids]))
+              for layer in {id(b): b for b in (bricks[0], bricks[len(bricks) // 2],
+                                                 bricks[-1])}.values()]
+    return circ, params, obs
+
+
+def _gradvar_case(n, depth):
+    """First-trial circuit, shifted parameter and observable of gradvar at (n, depth)."""
+    layers = default_layers(n)
+    gen = build_generative(GenerativeSpec(n, layers, default_p(n),
+                                          resolve_tau2("theorem", n, layers), seed=n))
+    circ = concatenate(gen, build_trainable(n, depth, seed=depth))
+    obs = PauliSum(n, [PauliTerm(1.0, PauliString.single(n, n // 2, "Z"))])
+    return circ, [default_shift_param(circ)], obs
+
+
+def _with_gradvar_examples(test):
+    """Every gradvar shape n = 1..12 in both depth arms, where it has a parameter.
+
+    n = 1 has no brick, and at n = 2 the depth-2 arm's middle brick layer
+    (offset 1) is empty, so `default_shift_param` has nothing to return.
+    """
+    for n in range(1, 13):
+        for depth in sorted({default_depth(n), n}):
+            if n > 2 or (n, depth) == (2, 1):
+                test = example(_gradvar_case(n, depth))(test)
+    return test
+
+
+@_with_gradvar_examples
+@given(shift_cases())
+@settings(max_examples=60)
+def test_shared_prefix_gradient_matches_two_runs(case):
+    circ, params, obs = case
+    for param in params:
         shifted = []
         for s in (math.pi / 4, -math.pi / 4):
             theta = circ.theta.copy()
             theta[param] += s
-            shifted.append(expectation(run(circ, theta), obs))
+            shifted.append(expectation(_fold(circ, theta), obs))
         assert parameter_shift_gradient(circ, param, obs) == \
             pytest.approx(shifted[0] - shifted[1], rel=0, abs=1e-12)
