@@ -45,8 +45,6 @@ class Gate:
     kind: str  # RX, RY, RZ, RXX, RYY, RZZ, CZ
     qubits: Tuple[int, ...]
     angle: Optional[float] = None
-    role: str = "gen"  # "gen" or "train"
-    param_id: Optional[int] = None
 
     def generator(self, n: int) -> PauliString:
         """Pauli generator G of a rotation gate R = exp(-i*angle*G)."""
@@ -200,7 +198,7 @@ def layer_gates(layer: Layer, theta: np.ndarray) -> Iterator[Gate]:
     """The gates of one layer in application order, brick angles read from `theta`."""
     if isinstance(layer, RotationLayer):
         for q, ang in enumerate(layer.angles):
-            yield Gate("R" + layer.axis, (q,), ang, layer.role)
+            yield Gate("R" + layer.axis, (q,), ang)
     elif isinstance(layer, CZLayer):
         for a, b in layer.edges:
             yield Gate("CZ", (a, b))
@@ -208,7 +206,7 @@ def layer_gates(layer: Layer, theta: np.ndarray) -> Iterator[Gate]:
         for pair, ids in zip(layer.pairs, layer.param_ids):
             for (kind, which), pid in zip(_BRICK_TEMPLATE, ids):
                 qubits = pair if which == 2 else (pair[which],)
-                yield Gate(kind, qubits, float(theta[pid]), "train", pid)
+                yield Gate(kind, qubits, float(theta[pid]))
     else:
         raise TypeError(f"unknown layer {layer!r}")
 
@@ -285,11 +283,8 @@ def default_layers(n: int) -> int:
     return max(1, math.ceil(math.log(n)))
 
 
-def build_trainable(n: int, depth: Optional[int] = None, seed: int = 0,
-                    init: str = "uniform") -> Circuit:
+def build_trainable(n: int, depth: int, seed: int = 0, init: str = "uniform") -> Circuit:
     """Brick ansatz on a 1-D chain with alternating pair offsets."""
-    if depth is None:
-        depth = default_depth(n)
     layers: List[Layer] = []
     next_id = 0
     for l in range(depth):

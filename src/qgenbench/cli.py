@@ -20,12 +20,11 @@ from . import __version__
 from .circuits import (Circuit, GenerativeSpec, RotationLayer, build_generative,
                        build_trainable, circuit_from_json, circuit_to_json,
                        concatenate, default_p, resolve_tau2)
-from .experiments import (ConfigError, ExperimentConfig, check_p, check_qubits,
-                          check_size, check_tau2, read_csv, run_experiment, write_csv)
+from .experiments import (ConfigError, ExperimentConfig, check_p, check_qubits, check_size,
+                          check_tau2, pauliprop_experiment, read_csv, run_experiment,
+                          treewidth_experiment, write_csv, write_manifest)
 from .pauli import PauliString, PauliSum, PauliTerm
-from .propagation import (ResourceLimitError, TruncationPolicy, benchmark_propagation,
-                          propagate, sine_cutoff_default)
-from .graphs import treewidth_trend
+from .propagation import ResourceLimitError, TruncationPolicy, propagate
 from .seeding import derive_seed, rng_for
 from .shadows import collect_shadows, shadows_to_csv
 from .statevector import expectation, run
@@ -100,15 +99,11 @@ def cmd_gen(args) -> int:
         circuit = concatenate(circuit, train)
     with open(args.out, "w") as fh:
         fh.write(circuit_to_json(circuit) + "\n")
-    manifest = {
+    write_manifest(args.out + ".manifest.json", {
         "n": args.n, "layers": layers, "p": p, "tau2": tau2,
         "tau2_preset": None if args.tau2 is not None else args.tau2_preset,
         "seed": args.seed, "trainable_depth": args.trainable_depth,
-        "version": f"qgenbench-{__version__}",
-    }
-    with open(args.out + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     _info(args, f"wrote {args.out} (tau2={tau2:.6g})")
     return 0
 
@@ -266,20 +261,8 @@ def cmd_pauliprop_bench(args) -> int:
                               seed=args.seed, sine_cutoff=args.sine_cutoff)
     if args.max_terms is not None:
         check_size("--max-terms", args.max_terms, 1)
-    # one policy per n, all built before any work starts
-    default_cutoff = args.sine_cutoff is None and not args.exact
     try:
-        policies = [TruncationPolicy(sine_cutoff=sine_cutoff_default(n) if default_cutoff
-                                     else args.sine_cutoff,
-                                     max_terms=args.max_terms, exact=args.exact)
-                    for n in config.ns]
-    except ValueError as exc:  # --exact with --sine-cutoff
-        raise ConfigError(str(exc))
-    try:
-        rows = [row for n, policy in zip(config.ns, policies)
-                for row in benchmark_propagation([n], policy, config.trials, config.seed,
-                                                 layers=config.layers, p=config.p,
-                                                 trainable_depth=config.trainable_depth)]
+        rows = pauliprop_experiment(config, args.max_terms, args.exact)
     except ResourceLimitError as exc:
         raise ConfigError(str(exc))
     write_csv(args.out, rows)
@@ -290,8 +273,7 @@ def cmd_pauliprop_bench(args) -> int:
 def cmd_graph_stats(args) -> int:
     config = ExperimentConfig("treewidth", _parse_ns(args.ns), layers=args.layers, p=args.p,
                               trials=args.trials, seed=args.seed)
-    rows = treewidth_trend(config.ns, config.trials, config.seed, p=config.p,
-                           layers=config.layers)
+    rows = treewidth_experiment(config)
     write_csv(args.out, rows)
     _info(args, f"wrote {args.out} ({len(rows)} rows)")
     return 0

@@ -8,7 +8,6 @@ rows are emitted in (n, trial) order regardless of execution order.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 import numbers
@@ -18,27 +17,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import __version__
 from .circuits import (BRICK_PARAMS, TAU2_CONSTANT, Circuit, BrickLayer, GenerativeSpec,
                        backward_lightcone, brick_pairs, build_generative, build_trainable,
                        concatenate, default_depth, default_layers, default_p, resolve_tau2)
 from .metrics import distinguishability, weak_subvolume_gap
 from .pauli import PauliString, PauliSum, PauliTerm
-from .propagation import MAX_PROP_QUBITS, TruncationPolicy, benchmark_propagation
+from .propagation import MAX_PROP_QUBITS, benchmark_propagation, study_policy
 from .graphs import MAX_GRAPH_VERTICES, treewidth_trend
 from .seeding import derive_seed, rng_for
 from .statevector import (MAX_SV_QUBITS, expectation, parameter_shift_gradient,
                           reduced_density_matrix, run)
-
-
-@functools.cache
-def package_version() -> str:
-    """The installed package's version; looked up on the first manifest only,
-    since importing importlib.metadata costs a noticeable share of start-up."""
-    from importlib.metadata import PackageNotFoundError, version
-    try:
-        return version("qgenbench")
-    except PackageNotFoundError:
-        return "0.1.0+local"
 
 
 # The optional config fields each experiment reads, besides experiment, ns,
@@ -277,8 +266,8 @@ def subvolume_experiment(config: ExperimentConfig) -> List[dict]:
 
 
 def default_shift_param(circuit: Circuit) -> int:
-    """Middle brick layer, middle brick, first rotation of that brick."""
-    brick_layers = [l for l in circuit.layers if isinstance(l, BrickLayer)]
+    """Middle brick layer that holds a brick, middle brick, first rotation of that brick."""
+    brick_layers = [l for l in circuit.layers if isinstance(l, BrickLayer) and l.pairs]
     if not brick_layers:
         raise ValueError("circuit has no trainable bricks")
     layer = brick_layers[len(brick_layers) // 2]
@@ -346,6 +335,39 @@ def lightcone_spread_experiment(config: ExperimentConfig) -> List[dict]:
     return rows
 
 
+def pauliprop_experiment(config: ExperimentConfig, max_terms: Optional[int] = None,
+                         exact: bool = False) -> List[dict]:
+    """Truncated propagation of Z_0 per (n, trial) under `study_policy`.
+
+    Every n's policy is built before any circuit runs, so a policy that cannot
+    be formed (`exact` with a sine cutoff) is rejected up front.
+    """
+    try:
+        policies = [study_policy(n, config.sine_cutoff, max_terms, exact) for n in config.ns]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return [row for n, policy in zip(config.ns, policies)
+            for row in benchmark_propagation([n], policy, config.trials, config.seed,
+                                             layers=config.layers, p=config.p, tau2=config.tau2,
+                                             trainable_depth=config.trainable_depth or 0)]
+
+
+def treewidth_experiment(config: ExperimentConfig) -> List[dict]:
+    """Degeneracy and min-fill brackets of single CZ layers and their unions."""
+    return treewidth_trend(config.ns, config.trials, config.seed, p=config.p,
+                           layers=config.layers)
+
+
+# Experiment id -> driver; each takes a validated config and returns its CSV rows.
+DRIVERS = {
+    "subvolume": subvolume_experiment,
+    "gradvar": gradient_variance_experiment,
+    "lightcone": lightcone_spread_experiment,
+    "pauliprop": pauliprop_experiment,
+    "treewidth": treewidth_experiment,
+}
+
+
 def _format_cell(value) -> str:
     if value is None:
         return ""
@@ -365,6 +387,14 @@ def write_csv(path: str, rows: List[dict], columns: Optional[Sequence[str]] = No
             writer.writerow([_format_cell(row.get(c)) for c in columns])
 
 
+def write_manifest(path: str, manifest: dict) -> None:
+    """`manifest` as sorted, indented JSON, stamped with the package version."""
+    with open(path, "w") as fh:
+        json.dump({**manifest, "version": f"qgenbench-{__version__}"}, fh, indent=2,
+                  sort_keys=True)
+        fh.write("\n")
+
+
 def read_csv(path: str) -> List[dict]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -376,16 +406,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> Dict[str, str]:
     Returns the written paths.  Wall-time columns are excluded from the
     determinism contract; everything else is byte-stable for a fixed config.
     """
-    drivers = {
-        "subvolume": subvolume_experiment,
-        "gradvar": gradient_variance_experiment,
-        "lightcone": lightcone_spread_experiment,
-        "pauliprop": lambda c: benchmark_propagation(
-            c.ns, None if c.sine_cutoff is None else TruncationPolicy(sine_cutoff=c.sine_cutoff),
-            c.trials, c.seed, layers=c.layers, p=c.p, tau2=c.tau2,
-            trainable_depth=c.trainable_depth or 0),
-        "treewidth": lambda c: treewidth_trend(c.ns, c.trials, c.seed, p=c.p, layers=c.layers),
-    }
     try:
         os.makedirs(out_dir, exist_ok=True)
         probe = os.path.join(out_dir, ".write-probe")
@@ -395,11 +415,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> Dict[str, str]:
     except OSError as exc:
         raise ConfigError(f"cannot write to {out_dir}: {exc}", "unwritable-output") from exc
 
-    rows = drivers[config.experiment](config)
+    rows = DRIVERS[config.experiment](config)
     csv_path = os.path.join(out_dir, f"{config.experiment}.csv")
     write_csv(csv_path, rows)
-    manifest = {
-        "version": f"qgenbench-{package_version()}",
+    manifest_path = os.path.join(out_dir, f"{config.experiment}.manifest.json")
+    write_manifest(manifest_path, {
         "config": config.to_json_obj(),
         "master_seed": config.seed,
         "seed_derivation": "default_rng(SeedSequence([master, *indices])); "
@@ -407,9 +427,5 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> Dict[str, str]:
         "resolved_tau2": {str(n): config.resolved_tau2(n) for n in config.ns}
         if config.experiment in _TAU2_EXPERIMENTS else None,
         "rows": len(rows),
-    }
-    manifest_path = os.path.join(out_dir, f"{config.experiment}.manifest.json")
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     return {"csv": csv_path, "manifest": manifest_path}

@@ -1,4 +1,4 @@
-"""Interaction-graph extraction and treewidth bracketing.
+"""Treewidth bracketing of the CZ layer graphs.
 
 Exact treewidth is NP-hard, so we bracket it: graph degeneracy from below and
 the min-fill elimination heuristic from above.  Both are deterministic (ties
@@ -9,12 +9,11 @@ the contraction-hardness trend studies need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Set, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from .circuits import (Circuit, CZLayer, LayerGraph, backward_lightcone, default_layers,
-                       default_p, sample_er_graph)
+from .circuits import LayerGraph, default_layers, default_p, sample_er_graph
 from .seeding import derive_seed
 
 
@@ -22,24 +21,6 @@ from .seeding import derive_seed
 class EliminationOrder:
     order: Tuple[int, ...]
     width: int
-
-
-def interaction_graph(circuit: Circuit, support: Set[int]) -> LayerGraph:
-    """Union of CZ edges lying inside the backward light cone of `support`.
-
-    Vertices are relabelled 0..m-1 in ascending original-qubit order.
-    """
-    _, cone = backward_lightcone(circuit, support)
-    vertices = sorted(cone)
-    index = {v: i for i, v in enumerate(vertices)}
-    edges = set()
-    for layer in circuit.layers:
-        if isinstance(layer, CZLayer):
-            for a, b in layer.edges:
-                if a in cone and b in cone:
-                    ia, ib = index[a], index[b]
-                    edges.add((min(ia, ib), max(ia, ib)))
-    return LayerGraph(len(vertices), tuple(sorted(edges)))
 
 
 # Every count the kernels keep is an integer below n**2, which float32 holds

@@ -38,12 +38,10 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return float(-np.sum(evals * np.log2(evals)))
 
 
-def weak_subvolume_gap(rho: np.ndarray, m: int | None = None) -> float:
+def weak_subvolume_gap(rho: np.ndarray) -> float:
     """|Lambda| - S(rho): how far subsystem entropy sits below its maximum."""
     rho = _check_density(rho)
-    if m is None:
-        m = int(round(math.log2(rho.shape[0])))
-    return m - von_neumann_entropy(rho)
+    return round(math.log2(rho.shape[0])) - von_neumann_entropy(rho)
 
 
 def hs_distance(a: np.ndarray) -> float:

@@ -319,6 +319,15 @@ def sine_cutoff_default(n: int) -> int:
     return max(0, math.ceil(math.log2(n)))
 
 
+def study_policy(n: int, sine_cutoff: Optional[int] = None, max_terms: Optional[int] = None,
+                 exact: bool = False) -> TruncationPolicy:
+    """The propagation study's policy at n: a sine cutoff of ceil(log2 n) unless
+    `sine_cutoff` or `exact` is given, plus the optional term cap."""
+    if sine_cutoff is None and not exact:
+        sine_cutoff = sine_cutoff_default(n)
+    return TruncationPolicy(sine_cutoff=sine_cutoff, max_terms=max_terms, exact=exact)
+
+
 def benchmark_propagation(ns, policy: Optional[TruncationPolicy], trials: int, seed: int, *,
                           layers: Optional[int] = None, p: Optional[float] = None,
                           tau2: Optional[float] = None, trainable_depth: int = 0,
@@ -326,16 +335,16 @@ def benchmark_propagation(ns, policy: Optional[TruncationPolicy], trials: int, s
     """Propagation scaling study of Z_0 over system sizes.
 
     Defaults per n: layers = ceil(ln n), p = ln(n)/n, tau2 just under 1/4,
-    and (when `policy` is None) a sine cutoff of ceil(log2 n).  For
-    n <= `exact_check_max_n` the statevector error is recorded.  Returns one
-    CSV-ready row dict per (n, trial).
+    and (when `policy` is None) `study_policy(n)`.  For n <= `exact_check_max_n`
+    the statevector error is recorded.  Returns one CSV-ready row dict per
+    (n, trial).
     """
     from . import statevector as sv
     from .circuits import TAU2_CONSTANT
 
     rows = []
     for n in ns:
-        pol = policy if policy is not None else TruncationPolicy(sine_cutoff=sine_cutoff_default(n))
+        pol = policy if policy is not None else study_policy(n)
         policy_id = _policy_id(pol)
         L = layers if layers is not None else default_layers(n)
         pn = p if p is not None else default_p(n)

@@ -41,9 +41,9 @@ def test_generative_structure():
     cz_layers = [l for l in circ.layers if isinstance(l, CZLayer)]
     assert len(rot_gates) == 4 * (2 + 2)
     assert len(cz_layers) == 2
-    assert all(g.role == "gen" for g in rot_gates)
     # last two rotation layers are the X then Y round
     rots = [l for l in circ.layers if isinstance(l, RotationLayer)]
+    assert all(l.role == "gen" for l in rots)
     assert [l.axis for l in rots] == ["X", "X", "X", "Y"]
 
 

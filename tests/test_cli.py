@@ -181,8 +181,9 @@ def test_experiment_bad_config(tmp_path):
 
 
 # A valid config of each experiment, and one field per case that the
-# experiment does not read, set to a value other than its default.
-UNREAD_BASES = {"subvolume": {"ns": [4], "trials": 2}, "gradvar": {"ns": [4], "trials": 2},
+# experiment does not read, set to a value other than its default.  gradvar's
+# n = 2 linear arm has an empty middle brick layer (offset 1).
+UNREAD_BASES = {"subvolume": {"ns": [4], "trials": 2}, "gradvar": {"ns": [2, 4], "trials": 2},
                 "lightcone": {"ns": [20], "trials": 1}, "pauliprop": {"ns": [4], "trials": 1},
                 "treewidth": {"ns": [20], "trials": 1}}
 UNREAD_FIELDS = [
@@ -331,6 +332,31 @@ def test_pauliprop_bench_default_policy_matches_driver(tmp_path):
     write_csv(want, benchmark_propagation([8, 12, 8], None, 2, 3))
     masked = [{**r, "wall_time_s": None} for r in read_csv(out)]
     assert masked == [{**r, "wall_time_s": None} for r in read_csv(want)]
+
+
+@pytest.mark.parametrize("argv, obj", [
+    (["graph-stats", "--ns", "20,40", "--trials", "3", "--seed", "4"],
+     {"experiment": "treewidth", "ns": [20, 40], "trials": 3, "seed": 4}),
+    (["graph-stats", "--ns", "12", "--trials", "2", "--layers", "2", "--p", "0.2"],
+     {"experiment": "treewidth", "ns": [12], "trials": 2, "layers": 2, "p": 0.2}),
+    (["pauliprop-bench", "--ns", "4,6,9", "--trials", "2", "--layers", "1", "--seed", "2"],
+     {"experiment": "pauliprop", "ns": [4, 6, 9], "trials": 2, "layers": 1, "seed": 2}),
+    (["pauliprop-bench", "--ns", "5,4", "--trials", "2", "--p", "0.5", "--trainable-depth", "1",
+      "--sine-cutoff", "2"],
+     {"experiment": "pauliprop", "ns": [5, 4], "trials": 2, "p": 0.5, "trainable_depth": 1,
+      "sine_cutoff": 2}),
+], ids=["graph_stats", "graph_stats_layers_p", "pauliprop", "pauliprop_sine_cutoff"])
+def test_study_command_matches_experiment(tmp_path, argv, obj):
+    # the flag front end and the config front end run one driver per study
+    out = str(tmp_path / "flags.csv")
+    assert run_cli(*argv, "--out", out, "--quiet") == 0
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(obj))
+    assert run_cli("experiment", "--config", str(config), "--out-dir", str(tmp_path / "o"),
+                   "--quiet") == 0
+    want = str(tmp_path / "o" / f"{obj['experiment']}.csv")
+    masked = [[{**r, "wall_time_s": None} for r in read_csv(path)] for path in (out, want)]
+    assert masked[0] == masked[1]
 
 
 def test_pauliprop_bad_ns(tmp_path):

@@ -8,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+import qgenbench
 from qgenbench.circuits import TAU2_CONSTANT, build_trainable
-from qgenbench.experiments import (EXPERIMENT_IDS, READ_FIELDS, ConfigError, ExperimentConfig,
-                                   default_shift_param,
+from qgenbench.experiments import (DRIVERS, EXPERIMENT_IDS, READ_FIELDS, ConfigError,
+                                   ExperimentConfig, default_shift_param,
                                    gradient_variance_experiment,
                                    lightcone_spread_experiment, read_csv,
                                    run_experiment, subvolume_experiment,
@@ -49,6 +50,7 @@ def test_read_fields_table_matches_config():
     assert read <= names
     assert names - {"experiment", "ns", "trials", "seed"} <= read
     assert EXPERIMENT_IDS == tuple(READ_FIELDS)
+    assert set(DRIVERS) == set(EXPERIMENT_IDS)
 
 
 def test_config_json_round_trip():
@@ -170,18 +172,28 @@ def test_run_experiment_byte_identical(tmp_path):
             assert f1.read() == f2.read()
 
 
-def test_version_is_looked_up_at_the_first_manifest(tmp_path):
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+
+def test_manifests_stamp_the_package_version(tmp_path):
     # importing importlib.metadata costs every process start-up about 15 ms
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    code = ("import sys, qgenbench.cli, qgenbench.experiments as e\n"
-            "before = 'importlib.metadata' in sys.modules\n"
+    code = ("import sys, qgenbench.cli as cli, qgenbench.experiments as e\n"
+            f"cli.main(['gen', '--n', '3', '--layers', '1', '--quiet', "
+            f"'--out', {str(tmp_path / 'c.json')!r}])\n"
             f"e.run_experiment(e.ExperimentConfig('treewidth', (5,), trials=1), {str(tmp_path)!r})\n"
-            "print(before, 'importlib.metadata' in sys.modules)")
+            "print('importlib.metadata' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["False", "True"]
-    with open(tmp_path / "treewidth.manifest.json") as fh:
-        assert json.load(fh)["version"].startswith("qgenbench-")
+                         check=True, env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")})
+    assert out.stdout.split() == ["False"]
+    for manifest in ("c.json.manifest.json", "treewidth.manifest.json"):
+        with open(tmp_path / manifest) as fh:
+            assert json.load(fh)["version"] == f"qgenbench-{qgenbench.__version__}"
+
+
+def test_pyproject_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == qgenbench.__version__
 
 
 def test_run_experiment_unwritable(tmp_path):

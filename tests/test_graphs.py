@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgenbench.circuits import (Circuit, CZLayer, GenerativeSpec, LayerGraph,
+from qgenbench.circuits import (GenerativeSpec, LayerGraph,
                                 build_generative, default_layers, default_p,
                                 sample_er_graph)
 from qgenbench.cli import main
 from qgenbench.experiments import read_csv
-from qgenbench.graphs import (MAX_GRAPH_VERTICES, degeneracy, interaction_graph,
-                              min_fill_width, treewidth_trend, union_graph)
+from qgenbench.graphs import (MAX_GRAPH_VERTICES, degeneracy, min_fill_width,
+                              treewidth_trend, union_graph)
 from qgenbench.seeding import derive_seed, rng_for
 
 
@@ -200,26 +200,6 @@ def test_deterministic_tie_breaking():
     _, order2 = min_fill_width(g)
     assert order1 == order2
     assert order1.order[0] == 0  # all fill counts tie; lowest index wins
-
-
-def test_interaction_graph_star():
-    star = CZLayer(tuple((0, b) for b in range(1, 5)))
-    circ = Circuit(6, (star,))
-    g = interaction_graph(circ, {0})
-    assert g.n == 5  # qubit 5 is outside the cone
-    assert len(g.edges) == 4
-
-
-def test_interaction_graph_disconnected_support():
-    circ = Circuit(4, (CZLayer(((0, 1),)),))
-    g = interaction_graph(circ, {3})
-    assert g.n == 1 and g.edges == ()
-
-
-def test_interaction_graph_relabelling():
-    circ = Circuit(5, (CZLayer(((2, 4),)),))
-    g = interaction_graph(circ, {2})
-    assert g.n == 2 and g.edges == ((0, 1),)
 
 
 def test_union_of_layers_widens():

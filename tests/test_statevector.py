@@ -302,15 +302,10 @@ def _gradvar_case(n, depth):
 
 
 def _with_gradvar_examples(test):
-    """Every gradvar shape n = 1..12 in both depth arms, where it has a parameter.
-
-    n = 1 has no brick, and at n = 2 the depth-2 arm's middle brick layer
-    (offset 1) is empty, so `default_shift_param` has nothing to return.
-    """
-    for n in range(1, 13):
+    """Every gradvar shape n = 2..12 in both depth arms; n = 1 has no brick."""
+    for n in range(2, 13):
         for depth in sorted({default_depth(n), n}):
-            if n > 2 or (n, depth) == (2, 1):
-                test = example(_gradvar_case(n, depth))(test)
+            test = example(_gradvar_case(n, depth))(test)
     return test
 
 
