@@ -128,13 +128,6 @@ class ExperimentConfig:
             for n, tau2 in tau2s.items():
                 check_tau2(f"tau2_preset {self.tau2_preset!r} at n={n}", tau2)
 
-    def to_json_obj(self) -> dict:
-        obj = asdict(self)
-        obj["ns"] = list(self.ns)
-        obj["subsystem"] = list(self.subsystem)
-        obj["sigma"] = [[q, l] for q, l in self.sigma]
-        return obj
-
     @classmethod
     def from_json_obj(cls, obj) -> "ExperimentConfig":
         if not isinstance(obj, dict):
@@ -420,7 +413,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> Dict[str, str]:
     write_csv(csv_path, rows)
     manifest_path = os.path.join(out_dir, f"{config.experiment}.manifest.json")
     write_manifest(manifest_path, {
-        "config": config.to_json_obj(),
+        "config": asdict(config),
         "master_seed": config.seed,
         "seed_derivation": "default_rng(SeedSequence([master, *indices])); "
                            "indices are (n, trial[, sub-stream]) per row",

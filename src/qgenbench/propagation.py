@@ -275,9 +275,8 @@ def propagate(circuit: Circuit, observable: PauliSum,
     """Conjugate `observable` back through `circuit` and evaluate on |0...0>."""
     if circuit.n > MAX_PROP_QUBITS:
         raise ValueError(f"propagation engine caps at {MAX_PROP_QUBITS} qubits")
-    for term in observable:
-        if term.string.n != circuit.n:
-            raise ValueError("observable qubit count differs from circuit")
+    if observable.n != circuit.n:
+        raise ValueError("observable qubit count differs from circuit")
     report = PropagationReport(expectation=0.0)
     t = _TermArrays.from_sum(observable)
     start = time.monotonic()

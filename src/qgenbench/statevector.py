@@ -16,8 +16,10 @@ consecutive qubits: one dense product per block, through `_apply_block_inplace`.
   `_apply_2q_inplace`.
 - A CZ layer negates the |11> slice of a strided view per edge (exact).
 
-`apply_gate` keeps one kernel call per gate and is the reference: `run`
-and `parameter_shift_gradient` agree with a fold of `apply_gate` over
+`apply_gate` keeps one kernel call per gate and is the reference: a
+1-qubit rotation on qubit q runs `_apply_block_inplace` at width 1 (lo = q),
+a 2-qubit rotation `_apply_2q_inplace`.  `run` and
+`parameter_shift_gradient` agree with a fold of `apply_gate` over
 `Circuit.gates()` to 1e-12.  The kernels mutate the buffer they are given;
 `apply_gate` copies first and so keeps its non-mutating contract.
 """
@@ -55,27 +57,10 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.n, self.amplitudes.copy())
-
 
 # --- in-place kernels ----------------------------------------------------
 # Views are taken with copy=False: a kernel that wrote to a reshaped copy
 # would silently do nothing, so numpy raises instead.
-
-
-def apply_1q_inplace(amps: np.ndarray, n: int, q: int, mat: np.ndarray) -> None:
-    """amps <- (2x2 `mat` on qubit q) amps, overwriting `amps`.
-
-    `amps` is one state (2**n,) or a batch of states (R, 2**n), one per row.
-    Each row goes through the same per-block products as a single state, so
-    a row's result is bitwise the one it would get on its own.
-    """
-    view = amps.reshape((-1, 2 ** (n - q - 1), 2, 2**q), copy=False)
-    if q >= n - q - 1:  # few wide blocks: one 2 x 2**q product per block
-        view[...] = np.matmul(mat, view)
-    else:  # many narrow blocks: one product per low-qubit index instead
-        view.transpose(0, 3, 1, 2)[...] = np.matmul(view.transpose(0, 3, 1, 2), mat.T)
 
 
 def _pair_view(amps: np.ndarray, n: int, a: int, b: int) -> np.ndarray:
@@ -307,7 +292,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         _cz_inplace(amps, state.n, *gate.qubits)
     elif gate.kind in ROTATION_KINDS:
         gen = _GENERATORS[gate.kind[1:]]
-        kernel = apply_1q_inplace if len(gen) == 2 else _apply_2q_inplace
+        kernel = _apply_block_inplace if len(gen) == 2 else _apply_2q_inplace
         kernel(amps, state.n, *gate.qubits, _rotations([gate.angle], gen)[0])
     else:
         raise ValueError(f"unknown gate kind {gate.kind!r}")

@@ -55,7 +55,7 @@ def test_read_fields_table_matches_config():
 
 def test_config_json_round_trip():
     c = cfg(ns=(4, 6), sigma=((0, "Z"), (1, "X")), tau2=0.1)
-    back = ExperimentConfig.from_json_obj(c.to_json_obj())
+    back = ExperimentConfig.from_json_obj(dataclasses.asdict(c))
     assert back == c
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_json_obj({"experiment": "subvolume"})

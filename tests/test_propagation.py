@@ -38,6 +38,13 @@ def test_identity_circuit():
     assert rep.dropped_mass == 0.0
 
 
+@pytest.mark.parametrize("obs", [PauliSum(3), z_obs(5)], ids=["empty_narrower", "wider"])
+def test_observable_must_act_on_the_circuit_qubits(obs):
+    """An empty sum of another width has no term to check and used to read 0.0."""
+    with pytest.raises(ValueError, match="differs from circuit"):
+        propagate(Circuit(4, ()), obs, EXACT)
+
+
 def test_single_rotation_cosine():
     gamma = 0.37
     circ = Circuit(1, (RotationLayer("X", "gen", (gamma,)),))

@@ -15,7 +15,7 @@ from qgenbench.shadows import (_BASIS_ROT, _SNAPSHOT_FACTORS, ShadowSet, collect
                                single_shot_values)
 from qgenbench import shadows as shadows_mod
 from qgenbench import statevector as sv
-from shadows_reference import REFERENCE_ENUMERATE_LIMIT, reference_cdf, reference_collect
+from shadows_reference import reference_cdf, reference_collect
 
 def reference_rdm(shadows, subsystem):
     """Row-wise `np.unique(axis=0)` grouping of snapshots, kept to pin
@@ -59,12 +59,10 @@ def test_deterministic():
     np.testing.assert_array_equal(a.outcomes, b.outcomes)
 
 
-# both sides of the reference's two-path switch, and n = 16, whose top rows
-# are larger than `_BATCH_AMPS`: there a level's buffer holds one row's two
-# halves, not a chunk of rows
+# n = 16's top rows are larger than `_BATCH_AMPS`: there a level's buffer
+# holds one row's two halves, not a chunk of rows
 @pytest.mark.parametrize("n, shots", [(3, 300), (10, 40), (16, 20)])
 def test_collect_leaves_state_untouched(n, shots):
-    assert (3**n <= REFERENCE_ENUMERATE_LIMIT) == (n == 3)
     assert n < 16 or shadows_mod._BATCH_AMPS >> n == 0
     state = sv.run(build_generative(GenerativeSpec(n, 2, 0.4, 0.2, 8)))
     before = state.amplitudes.copy()
@@ -73,8 +71,8 @@ def test_collect_leaves_state_untouched(n, shots):
 
 
 @pytest.mark.parametrize("n", range(12))
-def test_collect_matches_two_path_reference_bitwise(n):
-    """One grouped path for every n: the bytes of both branches it replaced."""
+def test_collect_matches_reference_sampler_bitwise(n):
+    """Every n from 0 to 11: the bytes of the CDF sampler it replaced."""
     state = random_state(n, 100 + n)
     for shots in (0, 1, 7, 300):
         for seed in (0, 1, 2):

@@ -11,9 +11,8 @@ from qgenbench.circuits import (BRICK_PARAMS, BrickLayer, Circuit, CZLayer, Gene
                                 default_p, resolve_tau2)
 from qgenbench.experiments import default_shift_param
 from qgenbench.pauli import PauliString, PauliSum, PauliTerm
-from qgenbench.statevector import (StateVector, apply_1q_inplace, apply_gate, apply_pauli,
-                                   dense_pauli_matrix, expectation,
-                                   parameter_shift_gradient,
+from qgenbench.statevector import (StateVector, apply_gate, apply_pauli, dense_pauli_matrix,
+                                   expectation, parameter_shift_gradient,
                                    reduced_density_matrix, run)
 
 
@@ -165,20 +164,6 @@ def test_apply_pauli_matches_dense():
         p = PauliString(n, int(rng.integers(2**n)), int(rng.integers(2**n)))
         np.testing.assert_allclose(apply_pauli(amps, p), dense_pauli_matrix(p) @ amps,
                                    atol=1e-12)
-
-
-@pytest.mark.parametrize("n", [1, 2, 5, 8])
-def test_1q_kernel_batch_rows_match_single_states_bitwise(n):
-    """A batch (R, 2**n) gives each row the bytes of that row run on its own."""
-    rng = np.random.default_rng(n)
-    batch = rng.normal(size=(3, 2**n)) + 1j * rng.normal(size=(3, 2**n))
-    mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    for q in range(n):
-        alone = [row.copy() for row in batch]
-        for row in alone:
-            apply_1q_inplace(row, n, q, mat)
-        apply_1q_inplace(batch, n, q, mat)
-        assert batch.tobytes() == np.stack(alone).tobytes()
 
 
 def test_norm_drift_many_gates():
