@@ -178,6 +178,13 @@ class Circuit:
                     or min(ids) < 0 or max(ids) >= len(self.theta)):
             raise ValueError("param_ids must be distinct integer indices into theta")
 
+    @classmethod
+    def _from_checked(cls, n: int, layers: Tuple[Layer, ...], theta: np.ndarray) -> "Circuit":
+        """A circuit from parts that already passed `__post_init__`, not checked again."""
+        circuit = cls.__new__(cls)
+        circuit.n, circuit.layers, circuit.theta = n, layers, theta
+        return circuit
+
     @property
     def num_params(self) -> int:
         return len(self.theta)
@@ -254,12 +261,12 @@ def build_generative(spec: GenerativeSpec) -> Circuit:
     rng = rng_for(spec.seed)
     layers: List[Layer] = []
     for _ in range(spec.layers):
-        angles = tuple(float(a) for a in rng.normal(0.0, tau, spec.n))
+        angles = tuple(rng.normal(0.0, tau, spec.n).tolist())
         layers.append(RotationLayer("X", "gen", angles))
         graph = sample_er_graph(spec.n, spec.p, int(rng.integers(0, 2**63)))
         layers.append(CZLayer(graph.edges))
     for axis in ("X", "Y"):
-        angles = tuple(float(a) for a in rng.normal(0.0, tau, spec.n))
+        angles = tuple(rng.normal(0.0, tau, spec.n).tolist())
         layers.append(RotationLayer(axis, "gen", angles))
     return Circuit(spec.n, tuple(layers))
 
@@ -309,7 +316,8 @@ def concatenate(first: Circuit, second: Circuit) -> Circuit:
         raise ValueError("qubit counts differ")
     if first.num_params:
         raise ValueError("first circuit must be parameter-free")
-    return Circuit(first.n, first.layers + second.layers, second.theta)
+    # `first` reads no parameter, so every id indexes `second.theta`, as checked
+    return Circuit._from_checked(first.n, first.layers + second.layers, second.theta)
 
 
 def backward_lightcone(circuit: Circuit, support: Set[int]) -> Tuple[List[Set[int]], Set[int]]:

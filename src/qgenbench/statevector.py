@@ -3,25 +3,30 @@
 Qubit 0 is the least-significant bit of the amplitude index.  This engine is
 the ground-truth oracle for the propagation, shadow, and experiment modules.
 
-Circuits run one layer at a time on a single amplitude buffer, in blocks of
-consecutive qubits: one dense product per block, through `_apply_block_inplace`.
+A circuit is planned once, then run: `_plan` turns its layers into a list of
+ops, each one dense product on a block of consecutive qubits, a 2-qubit
+product or a CZ sign flip, with every matrix built when the plan is.
 
-- A rotation layer is ceil(n/4) products with 16x16 matrices: the Kronecker
-  product of each four consecutive qubits' 2x2 rotations, the last block
-  taking the n mod 4 qubits left over.
-- Each brick's 15 rotations are fused into one 4x4 unitary, once per
-  circuit.  Two neighbouring chain bricks (a, a+1), (a+2, a+3), listed one
-  after the other, run as one 16x16 block; any other chain brick as a 4x4
-  block.  Reversed or non-adjacent pairs keep the per-pair kernel
-  `_apply_2q_inplace`.
+- Rotation layers run as ceil(n/4) products with 16x16 matrices: the
+  Kronecker product of each four consecutive qubits' 2x2 rotations, the last
+  block taking the n mod 4 qubits left over.  Every rotation layer's blocks
+  come from one broadcast product.
+- Each brick's 15 rotations are fused into one 4x4 unitary, all bricks in
+  one call.  Two neighbouring chain bricks (a, a+1), (a+2, a+3), listed one
+  after the other, run as one 16x16 block, all such pairs from one broadcast
+  product; any other chain brick runs as a 4x4 block.  Reversed or
+  non-adjacent pairs take the 2-qubit op.
 - A CZ layer negates the |11> slice of a strided view per edge (exact).
 
-`apply_gate` keeps one kernel call per gate and is the reference: a
-1-qubit rotation on qubit q runs `_apply_block_inplace` at width 1 (lo = q),
-a 2-qubit rotation `_apply_2q_inplace`.  `run` and
-`parameter_shift_gradient` agree with a fold of `apply_gate` over
-`Circuit.gates()` to 1e-12.  The kernels mutate the buffer they are given;
-`apply_gate` copies first and so keeps its non-mutating contract.
+`_apply_op` is the one kernel: it runs an op on a (B, 2**n) stack of
+states, in place, each row through the product a single state would take.
+`run` runs the plan on one row.  `parameter_shift_gradient` runs its two
+shifted states as the rows of one (2, 2**n) stack: the layers before the
+shifted brick's layer once, on one row, and every later one once on the
+stack.  `apply_gate` builds one op per gate (a 1-qubit rotation on qubit q
+is a block at lo = q) and copies the state first, so it keeps its
+non-mutating contract; `run` and `parameter_shift_gradient` agree with a
+fold of `apply_gate` over `Circuit.gates()` to 1e-12.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +46,15 @@ from .pauli import PauliString, PauliSum
 MAX_SV_QUBITS = 24
 
 
+def _zeros(rows: int, n: int) -> np.ndarray:
+    """A (rows, 2**n) stack of |0...0> states."""
+    if n > MAX_SV_QUBITS:
+        raise ValueError(f"statevector engine caps at {MAX_SV_QUBITS} qubits")
+    amps = np.zeros((rows, 2**n), dtype=np.complex128)
+    amps[:, 0] = 1.0
+    return amps
+
+
 @dataclass
 class StateVector:
     n: int
@@ -48,33 +62,24 @@ class StateVector:
 
     @classmethod
     def zero(cls, n: int) -> "StateVector":
-        if n > MAX_SV_QUBITS:
-            raise ValueError(f"statevector engine caps at {MAX_SV_QUBITS} qubits")
-        amps = np.zeros(2**n, dtype=np.complex128)
-        amps[0] = 1.0
-        return cls(n, amps)
+        return cls(n, _zeros(1, n)[0])
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
 
 # --- in-place kernels ----------------------------------------------------
-# Views are taken with copy=False: a kernel that wrote to a reshaped copy
-# would silently do nothing, so numpy raises instead.
+# Every kernel takes a (B, 2**n) stack of states and runs each row through
+# the product a single state would take, so a row's amplitudes are the same
+# bits whatever the stack height.  Views are taken with copy=False: a kernel
+# that wrote to a reshaped copy would silently do nothing, so numpy raises
+# instead.
 
 
-def _pair_view(amps: np.ndarray, n: int, a: int, b: int) -> np.ndarray:
-    """View with axes (rest, bit of max(a, b), rest, bit of min(a, b), rest)."""
+def _pair_view(amps: np.ndarray, a: int, b: int) -> np.ndarray:
+    """View with axes (row, rest, bit of max(a, b), rest, bit of min(a, b), rest)."""
     lo, hi = min(a, b), max(a, b)
-    return amps.reshape((2 ** (n - hi - 1), 2, 2 ** (hi - lo - 1), 2, 2**lo), copy=False)
-
-
-def _apply_2q_inplace(amps: np.ndarray, n: int, a: int, b: int, mat: np.ndarray) -> None:
-    """amps <- (4x4 `mat` on qubits a, b) amps; `mat` indexes 2*bit_b + bit_a."""
-    view = _pair_view(amps, n, a, b)
-    # bring (qubit b, qubit a) to the front, apply one 4 x 2**(n-2) product
-    front = view.transpose((1, 3, 0, 2, 4) if a < b else (3, 1, 0, 2, 4))
-    front[...] = (mat @ front.reshape(4, -1)).reshape(front.shape)
+    return amps.reshape((len(amps), -1, 2, 2 ** (hi - lo - 1), 2, 2**lo), copy=False)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -88,8 +93,8 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _FLAT_WIDTH = 32
 
 
-def _apply_block_inplace(amps: np.ndarray, n: int, lo: int, mat: np.ndarray) -> None:
-    """amps <- (`mat` on the consecutive qubits lo, lo+1, ...) amps.
+def _block_op(lo: int, mat: np.ndarray) -> tuple:
+    """The op of `mat` on the consecutive qubits lo, lo+1, ...
 
     `mat` (2**w x 2**w) indexes the block's bits with qubit lo the least
     significant, as np.kron(m_{w-1}, ..., m_0) does.  A block starting at
@@ -97,19 +102,35 @@ def _apply_block_inplace(amps: np.ndarray, n: int, lo: int, mat: np.ndarray) -> 
     ones for lo < 4; so when kron(mat, identity on qubits 0..lo-1) is at
     most `_FLAT_WIDTH` wide, that runs instead, as one flat product.
     """
-    width = len(mat) << lo
-    if width <= _FLAT_WIDTH:
+    if len(mat) << lo <= _FLAT_WIDTH:
         if lo:
             mat = _kron(mat, np.eye(1 << lo))
-        flat = amps.reshape((-1, width), copy=False)
-        flat[...] = flat @ mat.T
-    else:  # one 2**w x 2**lo product per value of the qubits above the block
+        return ("flat", mat.T)
+    return ("view", mat, lo)  # one 2**w x 2**lo product per value of the qubits above
+
+
+def _apply_op(amps: np.ndarray, op: tuple) -> None:
+    """Run one op on the (B, 2**n) stack `amps`, in place.
+
+    Ops: ("flat", mat.T) and ("view", mat, lo) from `_block_op`;
+    ("2q", a, b, mat) for a 4x4 `mat` on qubits a, b indexing
+    2*bit_b + bit_a; ("cz", a, b).
+    """
+    kind = op[0]
+    if kind == "flat":
+        flat = amps.reshape((len(amps), -1, len(op[1])), copy=False)
+        flat[...] = flat @ op[1]
+    elif kind == "view":
+        _, mat, lo = op
         view = amps.reshape((-1, len(mat), 1 << lo), copy=False)
         view[...] = np.matmul(mat, view)
-
-
-def _cz_inplace(amps: np.ndarray, n: int, a: int, b: int) -> None:
-    _pair_view(amps, n, a, b)[:, 1, :, 1, :] *= -1
+    elif kind == "cz":
+        _pair_view(amps, op[1], op[2])[:, :, 1, :, 1, :] *= -1
+    else:  # "2q": bring (qubit b, qubit a) forward, one 4 x 2**(n-2) product per row
+        _, a, b, mat = op
+        front = _pair_view(amps, a, b).transpose((0, 2, 4, 1, 3, 5) if a < b
+                                                 else (0, 4, 2, 1, 3, 5))
+        front[...] = np.matmul(mat, front.reshape(len(amps), 4, -1)).reshape(front.shape)
 
 
 # --- gate matrices -------------------------------------------------------
@@ -131,10 +152,13 @@ _GENERATORS = {label: dense_pauli_matrix(PauliString.from_label(label))
                for label in ("X", "Y", "Z", "XX", "YY", "ZZ")}
 
 
-def _rotations(angles: Sequence[float], gen: np.ndarray) -> np.ndarray:
-    """exp(-i g G) = cos(g) 1 - i sin(g) G for each angle g, Pauli matrix G."""
-    g = np.asarray(angles, dtype=float)[:, None, None]
-    return np.cos(g) * np.eye(len(gen)) - 1j * np.sin(g) * gen
+def _rotations(angles, gen: np.ndarray) -> np.ndarray:
+    """exp(-i g G) = cos(g) 1 - i sin(g) G for each angle g, Pauli matrix G.
+
+    `gen` broadcasts against the angles' shape: one generator, or one per row.
+    """
+    g = np.asarray(angles, dtype=float)[..., None, None]
+    return np.cos(g) * np.eye(gen.shape[-1]) - 1j * np.sin(g) * gen
 
 
 def _expand_rotations(gens: Sequence[np.ndarray]):
@@ -206,62 +230,76 @@ def _brick_ids(layers: Sequence) -> np.ndarray:
                      for ids in layer.param_ids], dtype=np.intp).reshape(-1, BRICK_PARAMS)
 
 
-# --- layer execution ------------------------------------------------------
+# --- circuit plans ---------------------------------------------------------
 
 
-def _rotation_blocks(angles: Sequence[float], gen: np.ndarray) -> list:
-    """16x16 products of each four consecutive qubits' rotations, lowest block first.
+def _brick_steps(pairs: Sequence) -> Iterator:
+    """(i, fused) per op of a brick layer; a fused op runs bricks i and i+1 as one block.
 
-    The angles are padded with zeros to a multiple of four, so every block
-    comes from one broadcast product; zero-angle rotations are exact
-    identities, and the last block is cut to its 2**(n mod 4) top-left entries.
+    Two neighbouring chain bricks (a, a+1), (a+2, a+3), listed one after the
+    other, fuse.
     """
-    n = len(angles)
-    padded = np.zeros(-(-n // 4) * 4)
-    padded[:n] = angles
-    m = _rotations(padded, gen).reshape(-1, 4, 2, 2)
-    blocks = list(_kron(_kron(m[:, 3], m[:, 2]), _kron(m[:, 1], m[:, 0])))
-    left = 1 << (n - 4 * (len(blocks) - 1))
-    blocks[-1] = blocks[-1][:left, :left]
-    return blocks
-
-
-def _apply_brick_layer(amps: np.ndarray, n: int, pairs: Sequence, mats: np.ndarray) -> None:
-    """One brick layer, `mats` holding each brick's fused 4x4 in pair order."""
     i = 0
     while i < len(pairs):
         a, b = pairs[i]
-        if b != a + 1:  # reversed or non-adjacent pair
-            _apply_2q_inplace(amps, n, a, b, mats[i])
-            i += 1
-        elif i + 1 < len(pairs) and tuple(pairs[i + 1]) == (a + 2, a + 3):
-            _apply_block_inplace(amps, n, a, _kron(mats[i + 1], mats[i]))
-            i += 2
-        else:
-            _apply_block_inplace(amps, n, a, mats[i])
-            i += 1
+        fused = b == a + 1 and i + 1 < len(pairs) and tuple(pairs[i + 1]) == (a + 2, a + 3)
+        yield i, fused
+        i += 1 + fused
 
 
-def _evolve(amps: np.ndarray, n: int, layers: Sequence, bricks: np.ndarray) -> np.ndarray:
-    """Apply `layers` to `amps` in place, one layer at a time; returns `amps`.
+def _plan(n: int, layers: Sequence, bricks: np.ndarray) -> list:
+    """The ops of each layer, in order, every matrix built here once.
 
     `bricks` holds the fused 4x4 unitary of every brick in `layers`, in order.
+    All rotation layers' 16x16 blocks come from one broadcast product over
+    their angles, padded with zeros to a multiple of four qubits (zero-angle
+    rotations are exact identities; the last block is cut to its
+    2**(n mod 4) top-left entries), and all fused brick pairs from another.
     """
-    k = 0
+    rotation = [layer for layer in layers if isinstance(layer, RotationLayer)]
+    per_layer = -(-n // 4)  # blocks
+    angles = np.zeros((len(rotation), 4 * per_layer))
+    angles[:, :n] = np.array([layer.angles for layer in rotation], dtype=float).reshape(-1, n)
+    gens = np.array([_GENERATORS[layer.axis] for layer in rotation]).reshape(-1, 1, 2, 2)
+    m = _rotations(angles, gens).reshape(len(rotation), per_layer, 4, 2, 2)
+    blocks = iter(_kron(_kron(m[:, :, 3], m[:, :, 2]), _kron(m[:, :, 1], m[:, :, 0])))
+    fused, k = [], 0  # index in `bricks` of each fused pair's first brick
+    for layer in layers:
+        if isinstance(layer, BrickLayer):
+            fused += [k + i for i, fuse in _brick_steps(layer.pairs) if fuse]
+            k += len(layer.pairs)
+    idx = np.array(fused, dtype=np.intp)
+    quads = dict(zip(fused, _kron(bricks[idx + 1], bricks[idx])))
+
+    plan, k = [], 0
     for layer in layers:
         if isinstance(layer, RotationLayer):
-            blocks = _rotation_blocks(layer.angles, _GENERATORS[layer.axis])
-            for lo, block in zip(range(0, n, 4), blocks):
-                _apply_block_inplace(amps, n, lo, block)
+            row, last = next(blocks), 4 * (per_layer - 1)
+            ops = [_block_op(lo, block) for lo, block in zip(range(0, last, 4), row)]
+            side = 1 << (n - last)
+            ops.append(_block_op(last, row[-1][:side, :side]))
         elif isinstance(layer, CZLayer):
-            for a, b in layer.edges:
-                _cz_inplace(amps, n, a, b)
+            ops = [("cz", a, b) for a, b in layer.edges]
         elif isinstance(layer, BrickLayer):
-            _apply_brick_layer(amps, n, layer.pairs, bricks[k:k + len(layer.pairs)])
+            ops = []
+            for i, fuse in _brick_steps(layer.pairs):
+                a, b = layer.pairs[i]
+                if b != a + 1:  # reversed or non-adjacent pair
+                    ops.append(("2q", a, b, bricks[k + i]))
+                else:
+                    ops.append(_block_op(a, quads[k + i] if fuse else bricks[k + i]))
             k += len(layer.pairs)
         else:
             raise TypeError(f"unknown layer {layer!r}")
-    return amps
+        plan.append(ops)
+    return plan
+
+
+def _run_ops(amps: np.ndarray, plan: Iterable) -> None:
+    """Apply the ops of each layer in `plan` to the stack `amps`, in place."""
+    for ops in plan:
+        for op in ops:
+            _apply_op(amps, op)
 
 
 @functools.lru_cache(maxsize=1)
@@ -287,15 +325,16 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
     Returns a new state and leaves `state` untouched.
     """
-    amps = state.amplitudes.copy()
     if gate.kind == "CZ":
-        _cz_inplace(amps, state.n, *gate.qubits)
+        op = ("cz", *gate.qubits)
     elif gate.kind in ROTATION_KINDS:
         gen = _GENERATORS[gate.kind[1:]]
-        kernel = _apply_block_inplace if len(gen) == 2 else _apply_2q_inplace
-        kernel(amps, state.n, *gate.qubits, _rotations([gate.angle], gen)[0])
+        mat = _rotations([gate.angle], gen)[0]
+        op = _block_op(*gate.qubits, mat) if len(gen) == 2 else ("2q", *gate.qubits, mat)
     else:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
+    amps = state.amplitudes.copy()
+    _apply_op(amps[None], op)
     return StateVector(state.n, amps)
 
 
@@ -308,8 +347,8 @@ def run(circuit: Circuit, theta: Optional[Sequence[float]] = None) -> StateVecto
     """Apply all layers in order to |0...0>."""
     th = _resolve_theta(circuit, theta)
     state = StateVector.zero(circuit.n)
-    _evolve(state.amplitudes, circuit.n, circuit.layers,
-            _brick_unitaries(th[_brick_ids(circuit.layers)]))
+    _run_ops(state.amplitudes[None], _plan(circuit.n, circuit.layers,
+                                           _brick_unitaries(th[_brick_ids(circuit.layers)])))
     return state
 
 
@@ -346,10 +385,12 @@ def parameter_shift_gradient(circuit: Circuit, param: int, observable: PauliSum,
                              theta: Optional[np.ndarray] = None) -> float:
     """d<O>/d(theta_param) via two shifted runs (exact for Pauli generators).
 
-    Every brick's fused unitary is computed once; the shifted runs swap in
-    the two shifted variants of the one brick that holds `param`.  The
-    layers before that brick's layer do not depend on `param`, so they are
-    evolved once and both shifted runs start from a copy.
+    The shifted runs are the two rows of one (2, 2**n) stack, planned as
+    one circuit: the layers, then the split layer (the one that holds
+    `param`) again, as row 1's copy.  The layers before the split layer do
+    not depend on `param`: they run once, on row 0, which is then copied to
+    row 1.  The split layer runs once per row, with that row's shift, and
+    every later layer once on the stack.
     """
     th = _resolve_theta(circuit, theta)
     param = range(len(th))[param]  # IndexError when out of range
@@ -364,15 +405,26 @@ def parameter_shift_gradient(circuit: Circuit, param: int, observable: PauliSum,
              for _ in layer.pairs]  # layer index of each brick
     split = owner[brick]
     first = owner.index(split)  # the split layer's first brick
-    mats = _brick_unitaries(th[ids])
-    prefix = _evolve(StateVector.zero(n).amplitudes, n, layers[:split], mats[:first])
+    angles = th[np.concatenate((ids, ids[first:first + len(layers[split].pairs)]))]
     shift = math.pi / 4
-    angles = np.tile(th[ids[brick]], (2, 1))
-    angles[:, col] += (shift, -shift)
-    vals = []
-    for variant in _brick_unitaries(angles):
-        suffix = mats[first:].copy()
-        suffix[brick - first] = variant
-        amps = _evolve(prefix.copy(), n, layers[split:], suffix)
-        vals.append(expectation(StateVector(n, amps), observable))
-    return vals[0] - vals[1]
+    angles[[brick, brick + len(ids) - first], col] += (shift, -shift)
+    stack = _shifted_states(n, layers, split, _brick_unitaries(angles))
+    plus, minus = (expectation(StateVector(n, amps), observable) for amps in stack)
+    return plus - minus
+
+
+def _shifted_states(n: int, layers: Sequence, split: int, bricks: np.ndarray) -> np.ndarray:
+    """The two shifted states of `parameter_shift_gradient`, as one (2, 2**n) stack.
+
+    `bricks` holds the fused bricks of `layers` with row 0's shift, then
+    those of layer `split` with row 1's.  The plan is freed on return, before
+    `expectation` allocates its temporaries.
+    """
+    plan = _plan(n, layers + (layers[split],), bricks)
+    stack = _zeros(2, n)
+    _run_ops(stack[:1], plan[:split])
+    stack[1] = stack[0]
+    _run_ops(stack[:1], plan[split:split + 1])
+    _run_ops(stack[1:], plan[-1:])
+    _run_ops(stack, plan[split + 1:-1])
+    return stack

@@ -119,6 +119,22 @@ def test_circuit_json_round_trip():
     assert circuit_to_json(back) == circuit_to_json(reversed_cz)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_concatenate_equals_the_checked_circuit(n):
+    """`concatenate` skips the IR check its halves passed; the result is the checked one."""
+    gen = build_generative(GenerativeSpec(n, 2, 0.5, 0.15, n))
+    train = build_trainable(n, 3, seed=n)
+    full = concatenate(gen, train)
+    checked = Circuit(n, gen.layers + train.layers, train.theta)
+    assert (full.n, full.layers) == (checked.n, checked.layers)
+    assert full.theta.dtype == checked.theta.dtype
+    np.testing.assert_array_equal(full.theta, checked.theta)
+    with pytest.raises(ValueError, match="qubit counts differ"):
+        concatenate(gen, build_trainable(n + 1, 1))
+    with pytest.raises(ValueError, match="parameter-free"):
+        concatenate(Circuit(n, gen.layers, np.zeros(1)), train)
+
+
 def test_param_ids_unique():
     layer = BrickLayer(((0, 1),), (tuple(range(15)),))
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from qgenbench.circuits import (BRICK_PARAMS, BrickLayer, Circuit, CZLayer, Gene
                                 default_p, resolve_tau2)
 from qgenbench.experiments import default_shift_param
 from qgenbench.pauli import PauliString, PauliSum, PauliTerm
-from qgenbench.statevector import (StateVector, apply_gate, apply_pauli, dense_pauli_matrix,
-                                   expectation, parameter_shift_gradient,
+from qgenbench.statevector import (StateVector, _apply_op, _block_op, apply_gate, apply_pauli,
+                                   dense_pauli_matrix, expectation, parameter_shift_gradient,
                                    reduced_density_matrix, run)
+from statevector_reference import reference_gradient, reference_run
 
 
 def bell_state():
@@ -307,3 +309,83 @@ def test_shared_prefix_gradient_matches_two_runs(case):
             shifted.append(expectation(_fold(circ, theta), obs))
         assert parameter_shift_gradient(circ, param, obs) == \
             pytest.approx(shifted[0] - shifted[1], rel=0, abs=1e-12)
+
+
+@given(random_circuits())
+@settings(max_examples=80)
+def test_run_matches_reference_bitwise(circ):
+    np.testing.assert_array_equal(run(circ).amplitudes, reference_run(circ))
+
+
+def _brick_position_case():
+    """Shifted parameters in each brick position the plan treats apart.
+
+    Bricks (0, 1), (2, 3) fuse into one block, so the shift lands in the
+    first and in the second brick of a fused pair; then a reversed and a
+    non-adjacent pair, a lone chain brick, and an empty CZ layer between.
+    """
+    n = 5
+    layers = (RotationLayer("X", "gen", (0.3, -0.2, 0.5, 0.1, -0.4)), CZLayer(()),
+              BrickLayer(((0, 1), (2, 3)), ((*range(0, 15),), (*range(15, 30),))),
+              CZLayer(((4, 0), (1, 2))),
+              BrickLayer(((3, 2), (0, 4)), ((*range(30, 45),), (*range(45, 60),))),
+              CZLayer(()),
+              BrickLayer(((1, 2),), ((*range(60, 75),),)),
+              RotationLayer("Y", "gen", (0.1, 0.2, -0.3, 0.4, 0.5)))
+    theta = np.random.default_rng(7).uniform(-math.pi, math.pi, 75)
+    obs = PauliSum(n, [PauliTerm(1.0, PauliString.from_label("ZIXIZ")),
+                       PauliTerm(-0.5, PauliString.single(n, 2, "Y"))])
+    return Circuit(n, layers, theta), [3, 20, 33, 50, 64], obs
+
+
+@example(_brick_position_case())
+@_with_gradvar_examples
+@given(shift_cases())
+@settings(max_examples=60)
+def test_gradient_matches_reference_bitwise(case):
+    circ, params, obs = case
+    np.testing.assert_array_equal(run(circ).amplitudes, reference_run(circ))
+    for param in params:
+        assert parameter_shift_gradient(circ, param, obs) == reference_gradient(circ, param, obs)
+
+
+def _ops(n, rng):
+    """One op of every kind and placement on n qubits, with random matrices."""
+    def mat(width):
+        return rng.normal(size=(width, width)) + 1j * rng.normal(size=(width, width))
+    ops = [_block_op(lo, mat(2**w)) for w in (1, 2, 4) for lo in range(n - w + 1)]
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    return ops + [("2q", a, b, mat(4)) for a, b in pairs] + [("cz", a, b) for a, b in pairs]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 7])
+def test_ops_on_a_stack_match_single_states_bitwise(n):
+    """Every op kind on a (3, 2**n) stack equals three single-state runs, bit for bit."""
+    rng = np.random.default_rng(n)
+    ops = _ops(n, rng)
+    if n == 7:
+        assert {op[0] for op in ops} == {"flat", "view", "2q", "cz"}
+    stack = rng.normal(size=(3, 2**n)) + 1j * rng.normal(size=(3, 2**n))
+    for op in ops:
+        rows = [stack[i:i + 1].copy() for i in range(3)]
+        for row in rows:
+            _apply_op(row, op)
+        _apply_op(stack, op)
+        np.testing.assert_array_equal(stack, np.concatenate(rows))
+
+
+def test_gradient_peak_memory_at_n16():
+    """One gradient at n = 16 holds at most 4.25 states at a time.
+
+    The (2, 2**n) stack is the only state buffer; a product's output and
+    expectation's temporaries take the rest.
+    """
+    (circ, (param,), obs), = [_gradvar_case(16, default_depth(16))]
+    parameter_shift_gradient(circ, param, obs)  # warm-up: cached tables and indices
+    tracemalloc.start()
+    try:
+        parameter_shift_gradient(circ, param, obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.25 * 16 * 2**16
