@@ -408,23 +408,13 @@ def parameter_shift_gradient(circuit: Circuit, param: int, observable: PauliSum,
     angles = th[np.concatenate((ids, ids[first:first + len(layers[split].pairs)]))]
     shift = math.pi / 4
     angles[[brick, brick + len(ids) - first], col] += (shift, -shift)
-    stack = _shifted_states(n, layers, split, _brick_unitaries(angles))
-    plus, minus = (expectation(StateVector(n, amps), observable) for amps in stack)
-    return plus - minus
-
-
-def _shifted_states(n: int, layers: Sequence, split: int, bricks: np.ndarray) -> np.ndarray:
-    """The two shifted states of `parameter_shift_gradient`, as one (2, 2**n) stack.
-
-    `bricks` holds the fused bricks of `layers` with row 0's shift, then
-    those of layer `split` with row 1's.  The plan is freed on return, before
-    `expectation` allocates its temporaries.
-    """
-    plan = _plan(n, layers + (layers[split],), bricks)
+    plan = _plan(n, layers + (layers[split],), _brick_unitaries(angles))
     stack = _zeros(2, n)
     _run_ops(stack[:1], plan[:split])
     stack[1] = stack[0]
     _run_ops(stack[:1], plan[split:split + 1])
     _run_ops(stack[1:], plan[-1:])
     _run_ops(stack, plan[split + 1:-1])
-    return stack
+    del plan  # its matrices go before expectation's temporaries come
+    plus, minus = (expectation(StateVector(n, amps), observable) for amps in stack)
+    return plus - minus

@@ -4,8 +4,9 @@ This is the engine before circuits were planned: each run builds every
 layer's blocks as it reaches the layer, widens a block and fuses a brick
 pair at each call, and a gradient evolves a separate prefix buffer and runs
 the two shifted suffixes one after the other from copies of it.  Its
-kernels are its own; only the brick-fusion tables come from the package.
-The tests compare `run` and `parameter_shift_gradient` to it bitwise.
+kernels are its own; the brick fusion, the generators, the zero state and
+`expectation` come from the package.  The tests compare `run` and
+`parameter_shift_gradient` to it bitwise.
 """
 
 import math
