@@ -81,6 +81,13 @@ class BrickLayer:
 Layer = Union[RotationLayer, CZLayer, BrickLayer]
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Reject a count that is not a Python int >= `least`: a float, a bool or a
+    numpy integer would be truncated or mis-indexed downstream."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LayerGraph:
     """Simple undirected graph on qubits; edges stored as sorted pairs."""
@@ -89,11 +96,20 @@ class LayerGraph:
     edges: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self):
+        _check_count("vertex count", self.n, 0)
         for a, b in self.edges:
-            if not (0 <= a < b < self.n):
-                raise ValueError("edges must be sorted pairs inside the register")
+            if not (type(a) is int and type(b) is int and 0 <= a < b < self.n):
+                raise ValueError("edges must be sorted integer pairs inside the register")
         if len(set(self.edges)) != len(self.edges):
             raise ValueError("duplicate edge")
+
+    @classmethod
+    def _from_checked(cls, n: int, edges: Tuple[Tuple[int, int], ...]) -> "LayerGraph":
+        """A graph from distinct sorted pairs inside the register, not checked again."""
+        graph = cls.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "edges", edges)
+        return graph
 
 
 @dataclass(frozen=True)
@@ -105,6 +121,8 @@ class GenerativeSpec:
     seed: int
 
     def __post_init__(self):
+        _check_count("qubit count", self.n, 1)
+        _check_count("layer count", self.layers, 0)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("edge probability must lie in [0, 1]")
         if not 0.0 < self.tau2 < 0.25:  # also rejects NaN
@@ -141,8 +159,7 @@ class Circuit:
         if self.theta.ndim != 1 or not np.isfinite(self.theta).all():
             raise ValueError("theta must be a flat array of finite angles")
         n = self.n
-        if type(n) is not int or n < 1:
-            raise ValueError(f"qubit count must be an integer >= 1, got {n!r}")
+        _check_count("qubit count", n, 1)
         for layer in self.layers:
             if isinstance(layer, RotationLayer):
                 if layer.axis not in ("X", "Y", "Z"):
@@ -248,15 +265,19 @@ def sample_er_graph(n: int, p: float, seed: int) -> LayerGraph:
 
     One uniform draw per pair, pairs in lexicographic order (0,1), (0,2), ...
     """
+    _check_count("vertex count", n, 0)
     if not 0.0 <= p <= 1.0:  # also rejects NaN
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     a, b = _pairs(n)
     keep = rng_for(seed).random(len(a)) < p
-    return LayerGraph(n, tuple(zip(a[keep].tolist(), b[keep].tolist())))
+    return LayerGraph._from_checked(n, tuple(zip(a[keep].tolist(), b[keep].tolist())))
 
 
 def build_generative(spec: GenerativeSpec) -> Circuit:
-    """L x [RX layer, CZ layer] then a final RX and RY layer."""
+    """L x [RX layer, CZ layer] then a final RX and RY layer.
+
+    `spec` checked its counts and ranges, so the circuit skips the IR check.
+    """
     tau = math.sqrt(spec.tau2)
     rng = rng_for(spec.seed)
     layers: List[Layer] = []
@@ -268,7 +289,7 @@ def build_generative(spec: GenerativeSpec) -> Circuit:
     for axis in ("X", "Y"):
         angles = tuple(rng.normal(0.0, tau, spec.n).tolist())
         layers.append(RotationLayer(axis, "gen", angles))
-    return Circuit(spec.n, tuple(layers))
+    return Circuit._from_checked(spec.n, tuple(layers), np.zeros(0))
 
 
 def brick_pairs(n: int, layer_index: int) -> Tuple[Tuple[int, int], ...]:
@@ -291,7 +312,14 @@ def default_layers(n: int) -> int:
 
 
 def build_trainable(n: int, depth: int, seed: int = 0, init: str = "uniform") -> Circuit:
-    """Brick ansatz on a 1-D chain with alternating pair offsets."""
+    """Brick ansatz on a 1-D chain with alternating pair offsets.
+
+    The arguments are checked here, so the circuit skips the IR check.
+    """
+    _check_count("qubit count", n, 1)
+    _check_count("depth", depth, 0)
+    if init not in ("uniform", "zeros"):
+        raise ValueError(f"unknown init {init!r}")
     layers: List[Layer] = []
     next_id = 0
     for l in range(depth):
@@ -303,11 +331,9 @@ def build_trainable(n: int, depth: int, seed: int = 0, init: str = "uniform") ->
         layers.append(BrickLayer(pairs, tuple(ids)))
     if init == "uniform":
         theta = rng_for(seed).uniform(-math.pi, math.pi, next_id)
-    elif init == "zeros":
-        theta = np.zeros(next_id)
     else:
-        raise ValueError(f"unknown init {init!r}")
-    return Circuit(n, tuple(layers), theta)
+        theta = np.zeros(next_id)
+    return Circuit._from_checked(n, tuple(layers), theta)
 
 
 def concatenate(first: Circuit, second: Circuit) -> Circuit:

@@ -9,6 +9,7 @@ the contraction-hardness trend studies need.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, List, Tuple
 
 import numpy as np
@@ -34,7 +35,10 @@ def _adjacency_matrix(graph: LayerGraph) -> np.ndarray:
         raise ValueError(f"graphs cap at {MAX_GRAPH_VERTICES} vertices, got n={graph.n}")
     adj = np.zeros((graph.n, graph.n), dtype=np.float32)
     if graph.edges:
-        a, b = np.array(graph.edges).T
+        # one pass over the edge tuples, flattened to a, b, a, b, ...
+        flat = np.fromiter(chain.from_iterable(graph.edges), dtype=np.intp,
+                           count=2 * len(graph.edges))
+        a, b = flat[0::2], flat[1::2]
         adj[a, b] = adj[b, a] = 1
     return adj
 
@@ -59,17 +63,28 @@ def min_fill_width(graph: LayerGraph) -> Tuple[int, EliminationOrder]:
       = P with the columns of N zeroed, rowsum(P')[w] counts the edges
       between those a and those g, so fill[w] += 2(g a - rowsum(P')[w] - a)
       and deg[w] += g - 1.  The step costs k^2 n, the one product F @ R.
+
+    A running count of live edges (-k per elimination, + the new edges) shows
+    when the live vertices form a clique.  Every fill in a clique is 0 and
+    stays 0, so the loop would take them in index order, the first with
+    alive - 1 neighbours: that tail is appended without stepping through it.
     """
     adj = _adjacency_matrix(graph)
     deg = adj.sum(axis=1)
     fill = deg * (deg - 1) - ((adj @ adj) * adj).sum(axis=1)
     order: List[int] = []
     width = 0
-    for _ in range(graph.n):
+    edges = len(graph.edges)
+    for alive in range(graph.n, 0, -1):
+        if 2 * edges == alive * (alive - 1):
+            order.extend(np.flatnonzero(fill < np.inf).tolist())
+            width = max(width, alive - 1)
+            break
         v = int(np.argmin(fill))  # first minimum = lowest index among ties
         nbrs = np.flatnonzero(adj[v])
         k = len(nbrs)
         width = max(width, k)
+        edges -= k
         adj[v] = 0.0
         adj[:, v] = 0.0
         if fill[v] == 0:
@@ -79,6 +94,7 @@ def min_fill_width(graph: LayerGraph) -> Tuple[int, EliminationOrder]:
             rows = adj[nbrs]
             missing = 1.0 - rows[:, nbrs]
             missing.flat[::k + 1] = 0.0
+            edges += int(missing.sum()) // 2
             paths = (missing @ rows) * rows
             fill -= paths.sum(axis=0)
             paths[:, nbrs] = 0.0
@@ -113,7 +129,8 @@ def union_graph(graphs: Iterable[LayerGraph]) -> LayerGraph:
     edges = set()
     for g in graphs:
         edges.update(g.edges)
-    return LayerGraph(n, tuple(sorted(edges)))
+    # each graph checked its own pairs, so their sorted union needs no check
+    return LayerGraph._from_checked(n, tuple(sorted(edges)))
 
 
 def treewidth_trend(ns, trials: int, seed: int, *, p: float | None = None,

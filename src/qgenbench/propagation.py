@@ -253,13 +253,16 @@ def _term_cap(c: np.ndarray, pol: TruncationPolicy,
             f"exact mode exceeded max_terms={pol.max_terms} ({len(c)} terms)", report)
     # keep the max_terms largest |c|, ties going to the lower index: the set
     # a stable descending sort would keep
+    cut = len(c) - pol.max_terms
     mag = np.abs(c)
-    edge = np.partition(mag, len(c) - pol.max_terms)[len(c) - pol.max_terms]
+    part = np.partition(mag, cut)
+    edge = part[cut]
     keep = mag > edge
     ties = np.flatnonzero(mag == edge)
     keep[ties[:pol.max_terms - np.count_nonzero(keep)]] = True
-    # lost magnitudes summed in descending order
-    report.dropped_mass += float(-np.sum(np.sort(-mag[~keep])))
+    # lost magnitudes summed in descending order; part[:cut] holds the same
+    # multiset as mag[~keep]: everything below the edge, the rest edge ties
+    report.dropped_mass += float(-np.sum(np.sort(-part[:cut])))
     return np.flatnonzero(keep)
 
 

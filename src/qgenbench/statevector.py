@@ -311,11 +311,18 @@ def _basis_index(dim: int) -> np.ndarray:
 
 
 def apply_pauli(amps: np.ndarray, p: PauliString) -> np.ndarray:
-    """P|psi> via index arithmetic: P = i^{#Y} (prod X)(prod Z)."""
-    src = _basis_index(len(amps)) ^ np.uint64(p.x)
-    parity = np.bitwise_count(src & np.uint64(p.z)) & 1
+    """P|psi> via index arithmetic: P = i^{#Y} (prod X)(prod Z).
+
+    A diagonal string (no X or Y) permutes nothing, so it skips the gather.
+    """
+    src = _basis_index(len(amps))
     phase = (1j) ** ((p.x & p.z).bit_count() % 4)
-    out = amps[src] * phase
+    if p.x:
+        src = src ^ np.uint64(p.x)
+        out = amps[src] * phase
+    else:
+        out = amps * phase
+    parity = np.bitwise_count(src & np.uint64(p.z)) & 1
     out[parity == 1] *= -1
     return out
 

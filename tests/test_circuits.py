@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qgenbench.circuits import (BRICK_PARAMS, BrickLayer, Circuit, CZLayer, Gate,
                                 GenerativeSpec, RotationLayer, backward_lightcone,
@@ -10,7 +12,9 @@ from qgenbench.circuits import (BRICK_PARAMS, BrickLayer, Circuit, CZLayer, Gate
                                 build_trainable, circuit_from_json, circuit_to_json,
                                 concatenate, default_depth, resolve_tau2,
                                 sample_er_graph, LayerGraph)
+from qgenbench.graphs import union_graph
 from qgenbench.pauli import PauliString, PauliSum, PauliTerm
+from qgenbench.seeding import derive_seed
 from qgenbench import statevector as sv
 
 
@@ -74,6 +78,52 @@ def test_generative_spec_rejects_tau2_outside_small_angle_range(tau2):
     # the model is defined for 0 < tau2 < 1/4; nothing is clamped
     with pytest.raises(ValueError, match="tau2"):
         GenerativeSpec(4, 1, 0.2, tau2, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 16), p=st.floats(0.0, 1.0), layers=st.integers(0, 4),
+       depth=st.integers(0, 5), init=st.sampled_from(["uniform", "zeros"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=1, p=1.0, layers=2, depth=3, init="uniform", seed=1)
+@example(n=1, p=0.5, layers=0, depth=0, init="zeros", seed=2)
+@example(n=5, p=0.5, layers=2, depth=0, init="uniform", seed=3)
+@example(n=6, p=0.4, layers=3, depth=4, init="zeros", seed=4)
+def test_builder_output_passes_the_full_checks(n, p, layers, depth, init, seed):
+    """The builders skip the IR check; rebuilding through it gives the same record."""
+    samples = [sample_er_graph(n, p, derive_seed(seed, l)) for l in range(max(layers, 1))]
+    for graph in samples + [union_graph(samples)]:
+        assert LayerGraph(graph.n, graph.edges) == graph
+    for circuit in (build_generative(GenerativeSpec(n, layers, p, 0.1, seed)),
+                    build_trainable(n, depth, seed, init)):
+        checked = Circuit(circuit.n, circuit.layers, circuit.theta)
+        assert (checked.n, checked.layers) == (circuit.n, circuit.layers)
+        assert checked.theta.dtype == circuit.theta.dtype
+        np.testing.assert_array_equal(checked.theta, circuit.theta)
+
+
+_BAD_COUNTS = [-1, 2.0, True, np.int64(4)]
+
+
+@pytest.mark.parametrize("build", [
+    *[lambda n=n: sample_er_graph(n, 0.5, 1) for n in _BAD_COUNTS],
+    *[lambda n=n: GenerativeSpec(n, 2, 0.5, 0.1, 0) for n in _BAD_COUNTS + [0]],
+    *[lambda l=l: GenerativeSpec(4, l, 0.5, 0.1, 0) for l in _BAD_COUNTS],
+    *[lambda n=n: build_trainable(n, 2) for n in _BAD_COUNTS + [0]],
+    *[lambda d=d: build_trainable(4, d) for d in _BAD_COUNTS],
+    lambda: build_trainable(4, 2, init="ones"),
+    lambda: LayerGraph(2.0, ()),
+    lambda: LayerGraph(3, ((0, 1.5),)),
+    lambda: LayerGraph(3, ((False, 2),)),
+], ids=[f"er-n={n!r}" for n in _BAD_COUNTS]
+    + [f"spec-n={n!r}" for n in _BAD_COUNTS + [0]]
+    + [f"spec-layers={l!r}" for l in _BAD_COUNTS]
+    + [f"trainable-n={n!r}" for n in _BAD_COUNTS + [0]]
+    + [f"trainable-depth={d!r}" for d in _BAD_COUNTS]
+    + ["trainable-init", "graph-n=2.0", "graph-float-edge", "graph-bool-edge"])
+def test_builders_reject_bad_counts(build):
+    """Counts must be Python ints: the builders' output skips the IR check."""
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_resolve_tau2():

@@ -137,6 +137,42 @@ def reference_recount_min_fill(graph):
     return width, tuple(order)
 
 
+def reference_closed_form_min_fill(graph):
+    """The float32 closed-form kernel before the clique exit: it steps through
+    every elimination, a final clique included, one vertex at a time."""
+    adj = _adjacency_matrix(graph).astype(np.float32)
+    deg = adj.sum(axis=1)
+    fill = deg * (deg - 1) - ((adj @ adj) * adj).sum(axis=1)
+    order, width = [], 0
+    for _ in range(graph.n):
+        v = int(np.argmin(fill))
+        nbrs = np.flatnonzero(adj[v])
+        k = len(nbrs)
+        width = max(width, k)
+        adj[v] = 0.0
+        adj[:, v] = 0.0
+        if fill[v] == 0:
+            fill[nbrs] -= 2 * (deg[nbrs] - k)
+            deg[nbrs] -= 1
+        else:
+            rows = adj[nbrs]
+            missing = 1.0 - rows[:, nbrs]
+            missing.flat[::k + 1] = 0.0
+            paths = (missing @ rows) * rows
+            fill -= paths.sum(axis=0)
+            paths[:, nbrs] = 0.0
+            net = missing.sum(axis=1) - 1
+            old = deg[nbrs]
+            outside = old - k + 1 + net
+            fill[nbrs] += 2 * (outside * net - paths.sum(axis=1))
+            deg[nbrs] = old + net
+            adj[nbrs[:, None], nbrs] = 1.0
+            adj[nbrs, nbrs] = 0.0
+        fill[v] = np.inf
+        order.append(v)
+    return width, tuple(order)
+
+
 def path(n):
     return LayerGraph(n, tuple((i, i + 1) for i in range(n - 1)))
 
@@ -310,6 +346,72 @@ def test_min_fill_matches_recount_reference_bitwise(graph):
 def test_min_fill_matches_incremental_reference_bitwise(graph):
     width, order = min_fill_width(graph)
     assert (width, order.order) == reference_incremental_min_fill(graph)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=st.one_of(workload_graphs(), shaped_graphs()))
+def test_min_fill_matches_closed_form_reference_bitwise(graph):
+    width, order = min_fill_width(graph)
+    assert (width, order.order) == reference_closed_form_min_fill(graph)
+    assert order.width == width
+
+
+def _relabel(graph, perm):
+    return _graph(graph.n, [(perm[a], perm[b]) for a, b in graph.edges])
+
+
+# Graphs with a clique that is not yet the whole live graph: the clique exit
+# must wait until the last non-clique vertex is gone.
+_K5_PENDANT_PATH = _graph(9, [(a, b) for a in range(5) for b in range(a)]
+                          + [(4, 5), (5, 6), (6, 7), (7, 8)])
+_TWO_CLIQUES = _graph(9, [(a, b) for a in range(4) for b in range(a)]
+                      + [(a, b) for a in range(4, 9) for b in range(4, a)])
+_K6_ISOLATED = _graph(9, [(a, b) for a in range(6) for b in range(a)])
+
+
+def _steps_before_clique(graph, order):
+    """Eliminations along `order` before the live vertices first form a clique."""
+    adj = _bit_adjacency(graph)
+    alive = (1 << graph.n) - 1
+    for step, v in enumerate(order):
+        live = alive.bit_count()
+        if sum(adj[u].bit_count() for u in _iter_bits(alive)) == live * (live - 1):
+            return step
+        nbrs = adj[v]
+        for a in _iter_bits(nbrs):
+            adj[a] = (adj[a] | (nbrs & ~(1 << a))) & ~(1 << v)
+        adj[v] = 0
+        alive &= ~(1 << v)
+    return len(order)
+
+
+_REVERSED = [8, 7, 6, 5, 4, 3, 2, 1, 0]
+_INTERLEAVED = [0, 2, 4, 6, 8, 1, 3, 5, 7]
+
+
+@pytest.mark.parametrize("graph", [
+    LayerGraph(0, ()), LayerGraph(4, ()), clique(6), cycle(8), grid(4, 4),
+    _K5_PENDANT_PATH, _relabel(_K5_PENDANT_PATH, _REVERSED),
+    _relabel(_K5_PENDANT_PATH, [4, 0, 6, 2, 8, 1, 5, 3, 7]),
+    _TWO_CLIQUES, _relabel(_TWO_CLIQUES, _REVERSED), _relabel(_TWO_CLIQUES, _INTERLEAVED),
+    _K6_ISOLATED, _relabel(_K6_ISOLATED, [3, 4, 5, 6, 7, 8, 0, 1, 2]),
+    _relabel(_K6_ISOLATED, _INTERLEAVED),
+    union_graph([sample_er_graph(200, default_p(200), derive_seed(3, l))
+                 for l in range(default_layers(200))]),
+], ids=["n0", "empty", "clique", "cycle", "grid", "k5-path", "k5-path-reversed",
+        "k5-path-mixed", "two-cliques", "two-cliques-reversed", "two-cliques-interleaved",
+        "k6-isolated", "k6-isolated-last", "k6-isolated-interleaved", "union200"])
+def test_min_fill_exits_at_the_clique_tail_and_no_earlier(graph, monkeypatch):
+    """One argmin per stepped elimination, none once the live graph is a
+    clique; the order and width are those of stepping through the tail."""
+    calls = []
+    argmin = np.argmin
+    monkeypatch.setattr(np, "argmin", lambda a: calls.append(1) or argmin(a))
+    width, order = min_fill_width(graph)
+    monkeypatch.undo()
+    assert (width, order.order) == reference_closed_form_min_fill(graph)
+    assert (width, order.order) == reference_min_fill(graph)
+    assert len(calls) == _steps_before_clique(graph, order.order) < max(graph.n, 1)
 
 
 @pytest.mark.parametrize("bracket", [min_fill_width, degeneracy],

@@ -168,6 +168,26 @@ def test_apply_pauli_matches_dense():
                                    atol=1e-12)
 
 
+def reference_apply_pauli(amps, p):
+    """The gather form every string took before diagonal ones skipped it."""
+    src = np.arange(len(amps), dtype=np.uint64) ^ np.uint64(p.x)
+    parity = np.bitwise_count(src & np.uint64(p.z)) & 1
+    out = amps[src] * (1j) ** ((p.x & p.z).bit_count() % 4)
+    out[parity == 1] *= -1
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_apply_pauli_matches_gather_form_bitwise(n):
+    rng = np.random.default_rng(100 + n)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    for k in range(16):
+        z = int(rng.integers(2**n))
+        x = 0 if k < 8 else int(rng.integers(2**n))  # half of them diagonal
+        want = reference_apply_pauli(amps, PauliString(n, x, z))
+        assert apply_pauli(amps, PauliString(n, x, z)).tobytes() == want.tobytes()
+
+
 def test_norm_drift_many_gates():
     rng = np.random.default_rng(13)
     state = StateVector.zero(6)
