@@ -104,26 +104,23 @@ def test_builder_output_passes_the_full_checks(n, p, layers, depth, init, seed):
 _BAD_COUNTS = [-1, 2.0, True, np.int64(4)]
 
 
-@pytest.mark.parametrize("build", [
-    *[lambda n=n: sample_er_graph(n, 0.5, 1) for n in _BAD_COUNTS],
-    *[lambda n=n: GenerativeSpec(n, 2, 0.5, 0.1, 0) for n in _BAD_COUNTS + [0]],
-    *[lambda l=l: GenerativeSpec(4, l, 0.5, 0.1, 0) for l in _BAD_COUNTS],
-    *[lambda n=n: build_trainable(n, 2) for n in _BAD_COUNTS + [0]],
-    *[lambda d=d: build_trainable(4, d) for d in _BAD_COUNTS],
-    lambda: build_trainable(4, 2, init="ones"),
-    lambda: LayerGraph(2.0, ()),
-    lambda: LayerGraph(3, ((0, 1.5),)),
-    lambda: LayerGraph(3, ((False, 2),)),
-], ids=[f"er-n={n!r}" for n in _BAD_COUNTS]
-    + [f"spec-n={n!r}" for n in _BAD_COUNTS + [0]]
-    + [f"spec-layers={l!r}" for l in _BAD_COUNTS]
-    + [f"trainable-n={n!r}" for n in _BAD_COUNTS + [0]]
-    + [f"trainable-depth={d!r}" for d in _BAD_COUNTS]
-    + ["trainable-init", "graph-n=2.0", "graph-float-edge", "graph-bool-edge"])
-def test_builders_reject_bad_counts(build):
+@pytest.mark.parametrize("build, args", [
+    *[pytest.param(sample_er_graph, (n, 0.5, 1), id=f"er-n={n!r}") for n in _BAD_COUNTS],
+    *[pytest.param(GenerativeSpec, (n, 2, 0.5, 0.1, 0), id=f"spec-n={n!r}")
+      for n in _BAD_COUNTS + [0]],
+    *[pytest.param(GenerativeSpec, (4, l, 0.5, 0.1, 0), id=f"spec-layers={l!r}")
+      for l in _BAD_COUNTS],
+    *[pytest.param(build_trainable, (n, 2), id=f"trainable-n={n!r}") for n in _BAD_COUNTS + [0]],
+    *[pytest.param(build_trainable, (4, d), id=f"trainable-depth={d!r}") for d in _BAD_COUNTS],
+    pytest.param(build_trainable, (4, 2, 0, "ones"), id="trainable-init"),
+    pytest.param(LayerGraph, (2.0, ()), id="graph-n=2.0"),
+    pytest.param(LayerGraph, (3, ((0, 1.5),)), id="graph-float-edge"),
+    pytest.param(LayerGraph, (3, ((False, 2),)), id="graph-bool-edge"),
+])
+def test_builders_reject_bad_counts(build, args):
     """Counts must be Python ints: the builders' output skips the IR check."""
     with pytest.raises(ValueError):
-        build()
+        build(*args)
 
 
 def test_resolve_tau2():
