@@ -69,13 +69,17 @@ def min_fill_width(graph: LayerGraph) -> Tuple[int, EliminationOrder]:
     stays 0, so the loop would take them in index order, the first with
     alive - 1 neighbours: that tail is appended without stepping through it.
     """
-    adj = _adjacency_matrix(graph)
+    return _min_fill(_adjacency_matrix(graph), len(graph.edges))
+
+
+def _min_fill(adj: np.ndarray, edges: int) -> Tuple[int, EliminationOrder]:
+    """`min_fill_width` on the adjacency matrix of a graph with `edges`
+    edges; the matrix is overwritten."""
     deg = adj.sum(axis=1)
     fill = deg * (deg - 1) - ((adj @ adj) * adj).sum(axis=1)
     order: List[int] = []
     width = 0
-    edges = len(graph.edges)
-    for alive in range(graph.n, 0, -1):
+    for alive in range(len(adj), 0, -1):
         if 2 * edges == alive * (alive - 1):
             order.extend(np.flatnonzero(fill < np.inf).tolist())
             width = max(width, alive - 1)
@@ -112,10 +116,14 @@ def min_fill_width(graph: LayerGraph) -> Tuple[int, EliminationOrder]:
 
 def degeneracy(graph: LayerGraph) -> int:
     """Treewidth lower bound: max over the peel order of the min residual degree."""
-    adj = _adjacency_matrix(graph)
+    return _degeneracy(_adjacency_matrix(graph))
+
+
+def _degeneracy(adj: np.ndarray) -> int:
+    """`degeneracy` on an adjacency matrix, which it only reads."""
     deg = adj.sum(axis=1)  # live degree; inf once peeled, so decrements leave it inf
     result = 0
-    for _ in range(graph.n):
+    for _ in range(len(adj)):
         v = int(np.argmin(deg))  # (degree, index) order
         result = max(result, int(deg[v]))
         deg -= adj[v]
@@ -148,12 +156,13 @@ def treewidth_trend(ns, trials: int, seed: int, *, p: float | None = None,
             samples = [sample_er_graph(n, pn, derive_seed(seed, n, trial, l))
                        for l in range(L)]
             for label, g in (("single", samples[0]), ("union", union_graph(samples))):
-                width, _ = min_fill_width(g)
+                adj = _adjacency_matrix(g)  # built once for both bounds
+                width, _ = _min_fill(adj.copy(), len(g.edges))
                 rows.append({
                     "n": n, "trial": trial,
                     "layers": 1 if label == "single" else L,
                     "edges": len(g.edges),
-                    "degeneracy_lb": degeneracy(g),
+                    "degeneracy_lb": _degeneracy(adj),
                     "minfill_ub": width,
                 })
     return rows

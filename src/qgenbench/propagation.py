@@ -4,20 +4,22 @@ The observable (a real-coefficient Pauli sum) is conjugated layer by layer
 from the last circuit layer to the first; the final expectation is read off
 on |0...0>.  Terms are held in flat numpy arrays: one packed uint64 key
 (x << 32) | z per string, which caps the register at 32 qubits, plus the
-coefficient and the sine count.  The policy truncates the observable once;
-after that, each rotation that splits a term is one kernel, `_rotate`: it
-signs the sine branch with a sign-bit XOR, merges it into the terms with one
-stable sort (linear time on sorted runs), flags every term that merged into
-its duplicate, fell under COEFF_EPS or passed the sine cutoff, and compacts
-the terms once, in key order; the term cap finds its threshold with
-``np.partition``.  A rotation layer first finds, with one OR-reduce of the
-keys, the qubits on which some term anticommutes with its axis; the other
-rotations split nothing and are skipped.  A brick layer runs its gates
-through the kernel one at a time.  A CZ layer creates no new terms:
-its gates commute, so the whole layer is one Clifford map of the keys,
+coefficient and the sine count, always in key order.  The policy truncates
+the observable once; after that, each rotation that splits a term is one
+kernel, `_rotate`.  Only the terms that anticommute with the generator G
+move: each keeps a cosine term in place and sends a sine term to the key of
+GP, which also anticommutes with G.  A sine term can therefore land only on
+its orbit partner, and one sort of the orbit representatives min(k, k ^ g),
+g the generator's key, finds those pairs, which merge in place.  The other
+sine terms past the sine cutoff go straight into `dropped_mass`; only the
+rest are merged into the sorted keys, and the term cap then finds its
+threshold with ``np.partition``.  A rotation layer first finds, with one OR-reduce of
+the keys, the qubits on which some term anticommutes with its axis; the
+other rotations split nothing and are skipped.  A brick layer runs its gates
+through the kernel one at a time.  A CZ layer creates no new terms: its
+gates commute, so the whole layer is one Clifford map of the keys,
 z <- z ^ M x with M the layer's adjacency matrix, plus one closed-form sign;
-the keys come out permuted, and the next rotation that splits terms sorts
-them again.
+the map permutes the keys, and one sort puts them back in order.
 
 Rotation gates follow the generator convention R(g) = exp(-i*g*G) with G a
 Pauli, so conjugating an anticommuting string P gives
@@ -97,8 +99,8 @@ def _key(x: int, z: int) -> int:
 class _TermArrays:
     """Flat storage: packed (x << 32) | z keys (uint64), coefficients, sine counts.
 
-    Rotations that split a term return keys in increasing order; CZ layers
-    permute keys, and the next splitting rotation sorts them again.
+    The keys are distinct and in increasing order: every kernel takes and
+    returns its terms in key order.
     """
 
     def __init__(self, k, c, s):
@@ -138,20 +140,41 @@ def _splitting_qubits(t: _TermArrays, axis: str) -> int:
     return bits & 0xFFFFFFFF if axis == "X" else bits >> 32
 
 
-_CUT, _GONE = np.uint8(1), np.uint8(2)  # per-term flags of _rotate; 0 keeps the term
+def _sine_signs(ak: np.ndarray, sk: np.ndarray, gx: int, gz: int) -> np.ndarray:
+    """Sign bits (bit 63 set for -1) of the sine terms iGP of the strings P
+    with keys `ak`, whose products GP have keys `sk`.
+
+    With P = i^(x.z) X^x Z^z, GP = i^k X^x3 Z^z3 for x3, z3 the XORs and
+    k = gx.gz + px.pz + 2 gz.px - x3.z3, so iGP carries the real phase
+    i^(1+k), -1 when bit 1 of 1+k is set; uint8 wraps modulo 256, which
+    keeps it.
+    """
+    hi = np.uint64(32)
+    ph = (np.bitwise_count((ak >> hi) & ak) + 2 * np.bitwise_count(ak & np.uint64(gz << 32))
+          - np.bitwise_count((sk >> hi) & sk) + ((gx & gz).bit_count() + 1))
+    return (ph & np.uint8(2)).astype(np.uint64) << np.uint64(62)
 
 
-def _rotate(t: _TermArrays, gkey: int, angle: float, pol: TruncationPolicy,
+def _rotate(t: _TermArrays, gkey: int, c2: float, s2: float, pol: TruncationPolicy,
             report: PropagationReport) -> _TermArrays:
-    """Conjugate by exp(-i*angle*G), G the Pauli string of packed key `gkey`,
-    merge the sine branch into the terms and truncate, with one sort and one
-    compaction.  Returns `t` itself when no term anticommutes with G.
+    """Conjugate by the rotation about G, the Pauli string of packed key
+    `gkey`: a term P that anticommutes with G becomes c2*P + s2*(iGP), with
+    c2 and s2 the cosine and sine of twice the rotation angle.  The sine
+    terms are merged into the terms and the result truncated; `t` itself is
+    returned when no term anticommutes with G.
 
-    `t` holds distinct keys, and under a sine cutoff every count is within
-    it, as truncation leaves them.  The survivors come out sorted by key.
-    Bit for bit, the result is that of merging the rotated terms into a
-    sorted set first and truncating that set after: the same coefficients,
-    and the cut magnitudes summed into `dropped_mass` in merged key order.
+    `t` is in key order with distinct keys, each |c| >= COEFF_EPS, and under
+    a sine cutoff every count is within it, as truncation leaves them.  Only
+    the m anticommuting terms move.  GP anticommutes with G as P does, so a
+    sine term can land only on the anticommuting term GP, and then the sine
+    term of GP lands on P: duplicates are the orbit pairs {P, GP} inside the
+    anticommuting set, found by one sort of min(key, key ^ gkey).  A pair
+    merges in place.  Of the other sine terms, those past the cutoff go
+    straight into `dropped_mass`, summed in the order of their keys, and
+    only the rest are merged into the keys.  The survivors come out in key
+    order.  Bit for bit, the result is that of merging every rotated term
+    into a sorted set first and truncating that set after: the same
+    coefficients, and the cut magnitudes summed in merged key order.
     """
     gx, gz = gkey >> 32, gkey & 0xFFFFFFFF
     # P anticommutes with G when |x & gz| + |z & gx| is odd: one popcount
@@ -160,48 +183,54 @@ def _rotate(t: _TermArrays, gkey: int, angle: float, pol: TruncationPolicy,
         (np.bitwise_count(t.k & np.uint64((gz << 32) | gx)) & np.uint8(1)).view(bool))
     if not len(anti):
         return t
-    c2, s2 = math.cos(2 * angle), math.sin(2 * angle)
-    n = len(t)
-    ak, ac = t.k[anti], t.c[anti]
-    # the sine branch P -> iGP is a bijection, so its keys are distinct
-    sk = ak ^ np.uint64(gkey)
-    # its sign: with P = i^(x.z) X^x Z^z, GP = i^k X^x3 Z^z3 for x3, z3 the
-    # XORs and k = gx.gz + px.pz + 2 gz.px - x3.z3, so iGP carries the real
-    # phase i^(1+k), -1 when bit 1 of 1+k is set; uint8 wraps modulo 256,
-    # which keeps it
-    hi = np.uint64(32)
-    ph = (np.bitwise_count((ak >> hi) & ak) + 2 * np.bitwise_count(ak & np.uint64(gz << 32))
-          - np.bitwise_count((sk >> hi) & sk) + ((gx & gz).bit_count() + 1))
-    flip = (ph & np.uint8(2)).astype(np.uint64) << np.uint64(62)
-    k = np.concatenate([t.k, sk])
-    c = np.concatenate([t.c, ((ac * s2).view(np.uint64) ^ flip).view(np.float64)])
-    c[anti] = ac * c2
-    s = np.concatenate([t.s, t.s[anti] + 1])
-    # the stable sort finds the sorted terms as one run; a key that occurs
-    # twice is a term a of t followed by the sine term b that lands on it
-    order = np.argsort(k, kind="stable")
-    sorted_k = k[order]
-    dup = np.flatnonzero(sorted_k[1:] == sorted_k[:-1])
-    a, b = order[dup], order[dup + 1]
-    c[a] += c[b]
-    s[a] = np.minimum(s[a], s[b])
-    flag = np.zeros(len(k), dtype=np.uint8)
+    ak, ac, count = t.k[anti], t.c[anti], t.s[anti]
+    sk = ak ^ np.uint64(gkey)  # P -> GP is a bijection: distinct keys
+    cc = ac * c2
+    sc = ac * s2  # unsigned; only the sine terms that stay are signed
+    free = np.abs(sc) >= COEFF_EPS  # sine terms neither under COEFF_EPS nor landed
+    rep = np.minimum(ak, sk)  # one key per orbit {P, GP}
+    # each stable sort here runs in about linear time on the sorted runs
+    # that XOR with a fixed key leaves in sorted keys
+    orbit = np.argsort(rep, kind="stable")
+    rep = rep[orbit]
+    pair = np.flatnonzero(rep[1:] == rep[:-1])
+    if len(pair):
+        # the sine term of each one lands on the other
+        to = np.concatenate([orbit[pair], orbit[pair + 1]])
+        of = np.concatenate([orbit[pair + 1], orbit[pair]])
+        cc[to] += (sc[of].view(np.uint64) ^ _sine_signs(ak[of], sk[of], gx, gz)).view(np.float64)
+        count[to] = np.minimum(count[to], count[of] + 1)
+        free[to] = False
     if pol.sine_cutoff is not None:
-        # only an unmerged sine term can pass the cutoff: a merged one keeps
-        # the count of the term of t it lands on
-        flag[n:] = s[n:] > pol.sine_cutoff
-    flag[np.abs(c) < COEFF_EPS] = _GONE
-    flag[b] = _GONE
-    flag = flag[order]
-    cut = order[flag == _CUT]
-    if len(cut):
-        report.dropped_mass += float(np.sum(np.abs(c[cut])))
-    keep = order[flag == 0]
-    kept_c = c[keep]
-    capped = _term_cap(kept_c, pol, report)
+        # an unlanded sine term passes the cutoff when its term sits at it
+        past = count >= pol.sine_cutoff
+        cut = np.flatnonzero(free & past)
+        if len(cut):
+            cut = cut[np.argsort(sk[cut], kind="stable")]
+            report.dropped_mass += float(np.sum(np.abs(sc[cut])))
+        free &= ~past
+    new = np.flatnonzero(free)
+    new = new[np.argsort(sk[new], kind="stable")]
+    nk = sk[new]
+    k = np.concatenate([t.k, nk])
+    c = np.concatenate([t.c, (sc[new].view(np.uint64)
+                              ^ _sine_signs(ak[new], nk, gx, gz)).view(np.float64)])
+    s = np.concatenate([t.s, count[new] + 1])
+    c[anti] = cc
+    s[anti] = count
+    gone = anti[np.abs(cc) < COEFF_EPS]
+    if len(gone):
+        kept = np.ones(len(k), dtype=bool)
+        kept[gone] = False
+        k, c, s = k[kept], c[kept], s[kept]
+    if len(new):
+        # two sorted runs: the stable sort merges them in linear time
+        order = np.argsort(k, kind="stable")
+        k, c, s = k[order], c[order], s[order]
+    capped = _term_cap(c, pol, report)
     if capped is not None:
-        keep, kept_c = keep[capped], kept_c[capped]
-    return _TermArrays(k[keep], kept_c, s[keep])
+        k, c, s = k[capped], c[capped], s[capped]
+    return _TermArrays(k, c, s)
 
 
 def _apply_cz_layer(t: _TermArrays, edges: Sequence[Tuple[int, int]]) -> _TermArrays:
@@ -214,6 +243,7 @@ def _apply_cz_layer(t: _TermArrays, edges: Sequence[Tuple[int, int]]) -> _TermAr
     e(x) are linear in x over GF(2); they come from one 256-entry table per
     byte of x, whose words hold M x in the low half and, in the high half,
     U x for U the edges to higher qubits, so that e(x) = x.(U x) mod 2.
+    The map permutes the keys; the terms come back in key order.
     """
     rows = [0] * MAX_PROP_QUBITS  # row q: N(q) low, the neighbours above q high
     for a, b in edges:
@@ -238,7 +268,8 @@ def _apply_cz_layer(t: _TermArrays, edges: Sequence[Tuple[int, int]]) -> _TermAr
     flip = (ph & np.uint8(2)).astype(np.uint64) << np.uint64(62)
     # negate the flipped coefficients by toggling their sign bit
     c = (t.c.view(np.uint64) ^ flip).view(np.float64)
-    return _TermArrays(k, c, t.s)
+    order = np.argsort(k)  # the keys are distinct, so any sort gives one order
+    return _TermArrays(k[order], c[order], t.s[order])
 
 
 def _term_cap(c: np.ndarray, pol: TruncationPolicy,
@@ -304,7 +335,7 @@ def propagate(circuit: Circuit, observable: PauliSum,
                      for gate in reversed(list(layer_gates(layer, circuit.theta)))]
         for gkey, angle in gates:
             if gkey is not None:
-                t = _rotate(t, gkey, angle, policy, report)
+                t = _rotate(t, gkey, math.cos(2 * angle), math.sin(2 * angle), policy, report)
             report.terms_per_step.append(len(t))
             report.peak_terms = max(report.peak_terms, len(t))
     report.wall_time = time.monotonic() - start

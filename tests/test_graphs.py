@@ -257,6 +257,23 @@ def test_treewidth_trend_rows():
     assert rows20[0]["layers"] == 1
 
 
+def test_trend_builds_each_matrix_once(monkeypatch):
+    # min-fill overwrites its matrix and degeneracy only reads it, so one
+    # build serves both; the rows equal the public functions'
+    import qgenbench.graphs as graphs
+
+    built = []
+    build = graphs._adjacency_matrix
+    monkeypatch.setattr(graphs, "_adjacency_matrix", lambda g: built.append(g) or build(g))
+    rows = treewidth_trend([20, 30], trials=2, seed=1)
+    monkeypatch.undo()
+    assert len(built) == len(rows) == 8
+    for row, g in zip(rows, built):
+        assert len(g.edges) == row["edges"]
+        assert row["minfill_ub"] == min_fill_width(g)[0]
+        assert row["degeneracy_lb"] == degeneracy(g)
+
+
 def test_trend_deterministic():
     a = treewidth_trend([25], trials=3, seed=9)
     b = treewidth_trend([25], trials=3, seed=9)

@@ -53,9 +53,15 @@ def rand_arrays(rng, n, k):
     return t
 
 
+def factors(angle):
+    """The branch factors cos(2*angle) and sin(2*angle) that ``_rotate`` takes."""
+    return math.cos(2 * angle), math.sin(2 * angle)
+
+
 def rotate(t: _TermArrays, gen: PauliString, angle: float) -> _TermArrays:
     """The rotation kernel about `gen` with nothing truncated."""
-    return _rotate(t, _key(gen.x, gen.z), angle, EXACT, PropagationReport(expectation=0.0))
+    return _rotate(t, _key(gen.x, gen.z), *factors(angle), EXACT,
+                   PropagationReport(expectation=0.0))
 
 
 def one_term(p: PauliString, coefficient=1.0) -> _TermArrays:
@@ -253,6 +259,7 @@ def test_cz_layer_matches_gate_by_gate_bitwise(data):
     want = t
     for a, b in edges:
         want = reference_cz(want, a, b)
+    want = want.take(np.argsort(want.k))  # the layer hands its terms back in key order
     got = _apply_cz_layer(t, edges)
     assert np.array_equal(got.k, want.k)
     assert np.array_equal(got.c.view(np.uint64), want.c.view(np.uint64))
@@ -375,21 +382,25 @@ def test_self_product_is_identity(x, z):
 
 
 def test_rotation_returns_increasing_keys():
+    # the rotation kernel takes its terms in key order and never sorts them,
+    # so the CZ layer, whose map permutes keys, must hand them back in order
     rng = np.random.default_rng(8)
     n = 5
-    unsorted_splits = 0
+    permuted = splits = 0
     for _ in range(60):
         t = rand_arrays(rng, n, 12)
         assert increasing(t.k)
         a, b = (int(q) for q in rng.choice(n, 2, replace=False))
-        shuffled = _apply_cz_layer(t, ((a, b),))  # CZ permutes keys out of order
-        for start in (t, shuffled):
+        after_cz = _apply_cz_layer(t, ((a, b),))
+        assert increasing(after_cz.k)
+        permuted += not increasing(reference_cz(t, a, b).k)
+        for start in (t, after_cz):
             gate = rand_rotation(rng, n)
             out = rotate(start, gate.generator(n), gate.angle)
             if out is not start:  # a rotation that splits nothing returns its input
                 assert increasing(out.k)
-                unsorted_splits += not increasing(start.k)
-    assert unsorted_splits >= 10
+                splits += 1
+    assert permuted >= 10 and splits >= 60
 
 
 def test_truncate_keeps_lowest_keys_among_ties_at_cap():
@@ -504,9 +515,10 @@ GRID_COEFFS = st.one_of(st.sampled_from([0.125, 0.25, 0.5, 1.0]), st.floats(0.01
 @st.composite
 def rotation_steps(draw):
     """(terms, generator, angle, policy): terms as truncation leaves them
-    (distinct keys, |c| >= COEFF_EPS, sine counts within the cutoff), sorted
-    or permuted by a CZ layer.  Half the strings come with their sine image
-    under the generator, so the merge meets duplicates."""
+    (distinct keys in increasing order, |c| >= COEFF_EPS, sine counts within
+    the cutoff); about half the sets pass through a CZ layer.  Half the
+    strings come with their sine image under the generator, so the merge
+    meets duplicates."""
     n = draw(st.integers(1, 8) | st.integers(9, 32))
     letter = draw(st.sampled_from("XYZ"))
     qubits = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 2), unique=True))
@@ -549,7 +561,7 @@ def _step_or_overrun(step, t, pol):
 def test_rotate_matches_reference_chain_bitwise(step):
     t, gen, angle, pol = step
     got, got_report = _step_or_overrun(
-        lambda t, r: _rotate(t, _key(gen.x, gen.z), angle, pol, r), t, pol)
+        lambda t, r: _rotate(t, _key(gen.x, gen.z), *factors(angle), pol, r), t, pol)
     want, want_report = _step_or_overrun(
         lambda t, r: reference_step(t, gen, angle, pol, r), t, pol)
     assert got_report == want_report  # dropped_mass bits, and final_terms of an overrun
@@ -578,7 +590,7 @@ def test_rotate_matches_reference_chain_at_scale(seed):
     for pol in (TruncationPolicy(sine_cutoff=1), TruncationPolicy(sine_cutoff=1, max_terms=2000),
                 TruncationPolicy(max_terms=1000)):
         got_report, want_report = (PropagationReport(expectation=0.0) for _ in range(2))
-        got = _rotate(t, _key(gen.x, gen.z), 0.4, pol, got_report)
+        got = _rotate(t, _key(gen.x, gen.z), *factors(0.4), pol, got_report)
         want = reference_step(t, gen, 0.4, pol, want_report)
         assert got_report == want_report
         assert np.array_equal(got.k, want.k)
@@ -591,7 +603,8 @@ def test_rotate_drops_branches_under_coeff_eps(angle, gone):
     # at 2*angle = pi/2 the cosine factor is about 6e-17, at pi the sine factor
     # about 1e-16: that branch falls under COEFF_EPS and is dropped unreported
     report = PropagationReport(expectation=0.0)
-    out = _rotate(single("Z"), _key(1, 0), angle, TruncationPolicy(sine_cutoff=3), report)
+    out = _rotate(single("Z"), _key(1, 0), *factors(angle), TruncationPolicy(sine_cutoff=3),
+                  report)
     assert terms_of(out, 1).keys() == ({"Y"} if gone == "cosine" else {"Z"})
     assert report.dropped_mass == 0.0
 
@@ -599,7 +612,7 @@ def test_rotate_drops_branches_under_coeff_eps(angle, gone):
 def test_rotate_overrun_keeps_partial_report():
     report = PropagationReport(expectation=0.0, dropped_mass=0.5)
     with pytest.raises(ResourceLimitError) as err:
-        _rotate(single("ZZ"), _key(0b01, 0), 0.3, TruncationPolicy.exact_mode(max_terms=1),
-                report)
+        _rotate(single("ZZ"), _key(0b01, 0), *factors(0.3),
+                TruncationPolicy.exact_mode(max_terms=1), report)
     assert err.value.report is report
     assert (report.final_terms, report.dropped_mass) == (2, 0.5)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgenbench.circuits import (BRICK_PARAMS, BrickLayer, Circuit, CZLayer, GenerativeSpec,
@@ -10,7 +10,8 @@ from qgenbench.circuits import (BRICK_PARAMS, BrickLayer, Circuit, CZLayer, Gene
                                 concatenate, default_depth)
 from qgenbench.pauli import COEFF_EPS, PauliString, PauliSum, PauliTerm
 from qgenbench.propagation import (PropagationReport, ResourceLimitError,
-                                   TruncationPolicy, _splitting_qubits, _TermArrays,
+                                   TruncationPolicy, _generator_key, _rotate,
+                                   _splitting_qubits, _term_cap, _TermArrays,
                                    benchmark_propagation, propagate, sine_cutoff_default)
 from qgenbench.seeding import derive_seed
 from qgenbench import statevector as sv
@@ -458,3 +459,135 @@ def test_rotation_layer_skips_qubits_without_anticommuting_terms(policy):
     rep = propagate(circ, obs, policy)
     assert len(rep.terms_per_step) == 15
     assert_same_report(circ, obs, policy)
+
+
+# --- reference rotation kernel -----------------------------------------------
+# The concatenate-and-sort form of _rotate: every term of t and every sine
+# term go through one stable sort, one per-term flag array and two
+# compactions.  It also accepts terms out of key order.  _rotate must match
+# it bitwise on key-ordered terms.
+
+_CUT, _GONE = np.uint8(1), np.uint8(2)
+
+
+def reference_rotate(t, gkey, c2, s2, pol, report):
+    gx, gz = gkey >> 32, gkey & 0xFFFFFFFF
+    anti = np.flatnonzero(
+        (np.bitwise_count(t.k & np.uint64((gz << 32) | gx)) & np.uint8(1)).view(bool))
+    if not len(anti):
+        return t
+    n = len(t)
+    ak, ac = t.k[anti], t.c[anti]
+    sk = ak ^ np.uint64(gkey)
+    hi = np.uint64(32)
+    ph = (np.bitwise_count((ak >> hi) & ak) + 2 * np.bitwise_count(ak & np.uint64(gz << 32))
+          - np.bitwise_count((sk >> hi) & sk) + ((gx & gz).bit_count() + 1))
+    flip = (ph & np.uint8(2)).astype(np.uint64) << np.uint64(62)
+    k = np.concatenate([t.k, sk])
+    c = np.concatenate([t.c, ((ac * s2).view(np.uint64) ^ flip).view(np.float64)])
+    c[anti] = ac * c2
+    s = np.concatenate([t.s, t.s[anti] + 1])
+    order = np.argsort(k, kind="stable")
+    sorted_k = k[order]
+    dup = np.flatnonzero(sorted_k[1:] == sorted_k[:-1])
+    a, b = order[dup], order[dup + 1]
+    c[a] += c[b]
+    s[a] = np.minimum(s[a], s[b])
+    flag = np.zeros(len(k), dtype=np.uint8)
+    if pol.sine_cutoff is not None:
+        flag[n:] = s[n:] > pol.sine_cutoff
+    flag[np.abs(c) < COEFF_EPS] = _GONE
+    flag[b] = _GONE
+    flag = flag[order]
+    cut = order[flag == _CUT]
+    if len(cut):
+        report.dropped_mass += float(np.sum(np.abs(c[cut])))
+    keep = order[flag == 0]
+    kept_c = c[keep]
+    capped = _term_cap(kept_c, pol, report)
+    if capped is not None:
+        keep, kept_c = keep[capped], kept_c[capped]
+    return _TermArrays(k[keep], kept_c, s[keep])
+
+
+# Coefficients: a grid, so that magnitudes tie at the cap, plus values near
+# COEFF_EPS, whose sine terms fall under it.
+SPLIT_COEFFS = st.one_of(st.sampled_from([0.125, 0.25, 0.5, 1.0, 2e-15, 5e-15]),
+                         st.floats(0.01, 2.0)).flatmap(lambda c: st.sampled_from([c, -c]))
+
+
+@st.composite
+def split_steps(draw):
+    """(keys, coefficients, sine counts, generator key, angle, policy) for one
+    `_rotate` call.  The generator is X, Y or Z on one qubit or a brick's XX,
+    YY or ZZ on two.  Each drawn string comes alone, with its image under the
+    generator, or with every key that shares its bits outside the generator's
+    (four for XX or ZZ, sixteen for YY)."""
+    n = draw(st.integers(2, 32))
+    letter = draw(st.sampled_from("XYZ"))
+    qubits = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+    gkey = _generator_key(letter, qubits)
+    bits = [b for b in range(64) if (gkey >> b) & 1]
+    masks = st.integers(0, 2**n - 1)
+    keys = set()
+    for x, z, group in draw(st.lists(st.tuples(masks, masks, st.sampled_from("1PO")),
+                                     max_size=20)):
+        key = (x << 32) | z
+        if group == "1":
+            keys.add(key)
+        elif group == "P":
+            keys |= {key, key ^ gkey}
+        else:
+            keys |= {key & ~gkey | sum(1 << b for b, on in zip(bits, pick) if on)
+                     for pick in np.ndindex(*[2] * len(bits))}
+    keys = sorted(keys)
+    cutoff = draw(st.integers(0, 3))
+    cap = draw(st.integers(1, 48))
+    policy = draw(st.sampled_from([TruncationPolicy.exact_mode(max_terms=cap),
+                                   TruncationPolicy(sine_cutoff=cutoff),
+                                   TruncationPolicy(max_terms=cap),
+                                   TruncationPolicy(sine_cutoff=cutoff, max_terms=cap)]))
+    top = 5 if policy.sine_cutoff is None else policy.sine_cutoff
+    size = len(keys)
+    return (keys, draw(st.lists(SPLIT_COEFFS, min_size=size, max_size=size)),
+            draw(st.lists(st.integers(0, top), min_size=size, max_size=size)),
+            gkey, draw(SNAPPED_ANGLES), policy)
+
+
+def _split_or_overrun(kernel, t, gkey, angle, policy):
+    report = PropagationReport(expectation=0.0, dropped_mass=0.25)
+    try:
+        out = kernel(t, gkey, math.cos(2 * angle), math.sin(2 * angle), policy, report)
+    except ResourceLimitError as err:
+        assert err.report is report
+        return None, report
+    return out, report
+
+
+ZZ01 = _generator_key("Z", (0, 1))
+
+
+@given(split_steps())
+@example(([(1 << 32) | z for z in range(4)], [1.0, -0.5, 0.25, 0.125], [0] * 4, ZZ01, 0.3,
+          EXACT)).via("four X0 keys share k & ~g under ZZ on (0, 1): two orbit pairs")
+@example(([1, 3], [2e-15, 0.5], [1, 1], _generator_key("X", (0,)), 0.1,
+          TruncationPolicy(sine_cutoff=1))).via("a cut sine term under COEFF_EPS is not counted")
+@example(([1, 2, 2 << 32], [1.0, 0.5, -0.5], [0] * 3, _generator_key("X", (0,)), math.pi / 8,
+          TruncationPolicy(max_terms=3))).via("the cap breaks a tie between Z1 and X1")
+@example(([1, 3], [0.5, 0.25], [0, 0], _generator_key("X", (0,)), 0.3,
+          TruncationPolicy.exact_mode(max_terms=3))).via("an exact-mode overrun")
+@settings(max_examples=300, deadline=None)
+def test_rotate_matches_concat_and_sort_reference_bitwise(step):
+    keys, coeffs, counts, gkey, angle, policy = step
+    t = _TermArrays(keys, coeffs, counts)
+    got, got_report = _split_or_overrun(_rotate, t, gkey, angle, policy)
+    want, want_report = _split_or_overrun(reference_rotate, t, gkey, angle, policy)
+    # dropped_mass bits, and the final_terms of an overrun's partial report
+    assert got_report == want_report
+    if want is None:
+        assert got is None
+        return
+    assert (got is t) == (want is t)
+    assert np.array_equal(got.k, want.k)
+    assert np.array_equal(got.c.view(np.uint64), want.c.view(np.uint64))
+    assert np.array_equal(got.s, want.s)
