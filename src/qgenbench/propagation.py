@@ -178,9 +178,12 @@ def _rotate(t: _TermArrays, gkey: int, c2: float, s2: float, pol: TruncationPoli
     """
     gx, gz = gkey >> 32, gkey & 0xFFFFFFFF
     # P anticommutes with G when |x & gz| + |z & gx| is odd: one popcount
-    # against the generator's key with x and z swapped
-    anti = np.flatnonzero(
-        (np.bitwise_count(t.k & np.uint64((gz << 32) | gx)) & np.uint8(1)).view(bool))
+    # against the generator's key with x and z swapped, or, when that mask
+    # has one bit (an X or Z generator), a test of that bit
+    swapped = (gz << 32) | gx
+    hit = t.k & np.uint64(swapped)
+    anti = np.flatnonzero(hit != 0 if swapped.bit_count() == 1
+                          else (np.bitwise_count(hit) & np.uint8(1)).view(bool))
     if not len(anti):
         return t
     ak, ac, count = t.k[anti], t.c[anti], t.s[anti]

@@ -2,23 +2,15 @@
 
 Each shot draws a uniform basis letter per qubit, rotates that qubit into the
 computational basis, and samples one bitstring.  Collection samples the bits
-one qubit at a time, most significant first (qubit n - 1), by the chain rule:
-a shot's row is the unnormalised part of the state consistent with the
-(letter, outcome) pairs it has already fixed, and one row serves every shot
-that shares that prefix.  At qubit q each distinct (row, letter) pair is
-rotated once on its top qubit (Z takes no product); the squared norm of the
-b = 0 half of the result decides each shot's bit against its uniform draw,
-and the chosen half is its row for qubit q - 1.  Rows halve at every level,
-so depth k costs at most min(6**k, shots) rows of 2**(n - k) amplitudes, and
-no rotated 2**n state is built per basis combination.  The walk goes depth
-first in chunks of `_BATCH_AMPS` amplitudes and holds one buffer per qubit,
-a chunk or, where one row is larger, one row's two halves: 2.6 state sizes
-at n = 16, 640 KB at n = 10.
-
-The outcomes are those of inverse-CDF sampling on each shot's rotated state,
-searchsorted(cumsum(p), u, side="right") with the CDF's last entry set to 1,
-byte for byte, except where a draw lies within rounding of a CDF boundary:
-the walk sums the same probabilities in blocks.
+one qubit at a time, qubit n - 1 first, by the chain rule, in one depth-first
+walk over the distinct (letter, outcome) prefixes (`_Walk`).  Each row's
+b = 0 masses come in closed form from its halves, and each distinct child
+row is built once, so depth k costs at most min(6**k, shots) rows of
+2**(n - k) amplitudes.  The outcomes are those of inverse-CDF sampling on
+each shot's rotated state, searchsorted(cumsum(p), u, side="right") with the
+CDF's last entry set to 1, byte for byte, except where a draw lies within
+rounding of a CDF boundary: the walk reaches the same probabilities by other
+sums and products.
 
 The standard inverse-channel estimators follow: a weight-k Pauli is
 estimated by 3^k times the product of matching outcomes (zero on basis
@@ -39,13 +31,13 @@ from .statevector import StateVector
 
 BASIS_LETTERS = "XYZ"
 
-# Amplitudes per chunk of the sampling walk's frontier: one product rotates
-# at most max(_BATCH_AMPS, one row) of them, and the walk keeps one buffer of
-# that size per qubit.  At n = 10 that is ten 64 KB buffers; at n = 16 the
-# top levels' rows dominate, 2.6 state sizes in all.  A larger chunk means
-# fewer, larger products and more memory (n = 10, 2,000 shots: 109 chunks
-# at 2**12, 30 at 2**14).
-_BATCH_AMPS = 2**12
+# Amplitudes per chunk of the sampling walk: one product builds at most
+# max(_BATCH_AMPS, one row) of them, and each level keeps a buffer of that
+# size, 1.5 state sizes in all at n = 16 with 20 shots and 2.3 with 2,000.
+# A larger chunk means fewer visits and more memory (n = 10, 2,000 shots:
+# 58 visits and 0.57 MB of buffers at 2**12, 32 and 1.0 MB at 2**13, 19 and
+# 1.7 MB at 2**14).
+_BATCH_AMPS = 2**13
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 # Rotation taking the measured basis' eigenstates to |0>, |1>; Z needs none
@@ -85,16 +77,16 @@ class _Walk:
     A chunk of the frontier at qubit q is an array of rows (R, 2**(q + 1)),
     each the unnormalised part of the state consistent with one distinct
     prefix of (letter, outcome) pairs on qubits q + 1..n - 1, and the shots
-    on those rows, a contiguous range of `order`.  `visit` fixes qubit q of
-    a chunk's shots: shot s takes bit 1 exactly when u[s] >= lo[s] + m0, m0
-    the squared norm of the b = 0 half of its rotated row and lo[s] the mass
-    of all index-earlier outcomes, which is inverse-CDF sampling with qubit
-    n - 1 as the most significant bit.  Each distinct (row, letter) pair is
-    rotated once, into the buffer of level q; its two halves are rows of the
-    chunk that walks qubit q - 1, and that chunk is walked, depth first,
-    when the buffer cannot take the next group.  The chunks of sibling
-    visits thus share a buffer, and the walk holds one buffer of
-    max(`_BATCH_AMPS`, 2**(q + 1)) amplitudes per level.
+    on those rows, a range of `order` along which their rows never decrease.
+    `visit` fixes qubit q of a chunk's shots: shot s takes bit 1 exactly
+    when u[s] >= lo[s] + m0, m0 the b = 0 mass of its row in its letter's
+    basis (`_zero_masses`) and lo[s] the mass of all index-earlier outcomes,
+    which is inverse-CDF sampling with qubit n - 1 as the most significant
+    bit.  Each distinct (letter, bit, row) child is then built once
+    (`_build_children`) into the buffer of level q, whose rows are the chunk
+    that walks qubit q - 1, depth first, when the buffer is full.  Sibling
+    visits share a buffer, and level q >= 1 holds at most
+    max(`_BATCH_AMPS`, 2**q) amplitudes.
     """
 
     def __init__(self, bases: np.ndarray, u: np.ndarray):
@@ -102,11 +94,13 @@ class _Walk:
         self.bases, self.u = bases, u
         self.outcomes = np.empty((shots, n), dtype=np.int8)
         self.order = np.arange(shots)
-        self.row = np.zeros(shots, dtype=np.int64)  # by shot: its row in its chunk
+        self.row = np.zeros(shots, dtype=np.int64)  # by place in order: the shot's row
         self.lo = np.zeros(shots)                   # by shot: the mass before its outcome
-        # by level q: room for one group's rotated rows, and never for more
-        # than two rows per shot; views of one block, allocated and freed once
-        caps = [min(max(_BATCH_AMPS >> q, 2), 2 * shots) for q in range(n)]
+        # by level q: room for a chunk of children, never more than one per
+        # shot or per distinct prefix on qubits q..n - 1, and none at level 0,
+        # whose children are never walked; views of one block, allocated once
+        caps = [min(max(_BATCH_AMPS >> q, 1), shots, 6 ** (n - q)) if q else 0
+                for q in range(n)]
         ends = np.cumsum([cap << q for q, cap in enumerate(caps)]).tolist()
         space = np.empty(ends[-1] if n else 0, dtype=complex)
         self.buffers = [space[end - (cap << q):end].reshape(cap, 2**q)
@@ -132,68 +126,80 @@ class _Walk:
         self.visit(q - 1, self.buffers[q][:held], start, self.stop[q])
 
     def visit(self, q: int, rows: np.ndarray, start: int, stop: int) -> None:
-        """Fix qubit q of the shots order[start:stop], whose rows are `rows`.
+        """Fix qubit q of the shots order[start:stop], whose rows are `rows`,
+        and build their children.
 
         Makes no bool or int8 temporaries: numpy keeps up to seven freed
         buffers of each size under 1 KB, and small ones of varying sizes
         would stay allocated after the walk.
         """
-        half = 2**q
+        count = len(rows)
+        halves = rows.reshape(count, 2, 2**q)
         shots = self.order[start:stop]
-        keys = self.bases[:, q].astype(np.int64)[shots] * len(rows) + self.row[shots]
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
+        kind = self.bases[:, q].astype(np.int64)[shots]  # the letter, for now
+        m0 = _zero_masses(halves).ravel()[kind * count + self.row[start:stop]]
+        bit = self.lo[shots] + m0
+        np.greater_equal(self.u[shots], bit, out=bit)  # 1.0 where u >= lo + m0
+        self.outcomes[shots, q] = 1.0 - 2.0 * bit
+        self.lo[shots] += m0 * bit
+        if not q:  # qubit 0 is the last: no children
+            return
+        kind *= 2
+        kind += bit.astype(np.int64)
+        del m0, bit  # the walk below goes deeper
+        # rows never decrease along `order`, so one stable sort by
+        # kind = 2 * letter + bit groups the shots by (letter, bit, row);
+        # int16 keys take numpy's radix sort
+        order = np.argsort(kind.astype(np.int16), kind="stable")
         shots[:] = shots[order]
-        # the (letter, row) pairs, X first, then Y, then Z, each in row order
-        step = np.empty_like(keys)
-        step[0] = 1
-        np.subtract(keys[1:], keys[:-1], out=step[1:])
-        first = np.flatnonzero(step)  # each pair's first shot
-        letter, src = np.divmod(keys[first], len(rows))
-        first = first.tolist() + [len(keys)]
-        del keys, order, step
-        per_group = max(1, _BATCH_AMPS >> (q + 1))
-        buf = self.buffers[q]
-        for a in range(0, len(src), per_group):
-            b = min(a + per_group, len(src))
-            if self.held[q] + 2 * (b - a) > len(buf):
-                self.flush(q)
-            at = self.held[q]
-            out = buf[at:at + 2 * (b - a)].reshape(b - a, 2, half)
-            _rotate(rows, src[a:b], letter[a:b], out)
-            self.sample(q, out, shots[first[a]:first[b]], np.diff(first[a:b + 1]), at)
-            if q:  # qubit 0 is the last: its halves are never walked
-                self.held[q] = at + 2 * (b - a)
-                self.stop[q] = start + first[b]
-
-    def sample(self, q: int, out: np.ndarray, ids: np.ndarray, counts: np.ndarray,
-               at: int) -> None:
-        """Fix qubit q of the shots `ids`, counts[i] of them on the rotated
-        rows out[i], whose halves are rows at + 2 * i + b of the next chunk."""
-        p = np.repeat(np.arange(len(out)), counts)  # each shot's pair
-        zero = out[:, 0].view(float)  # the b = 0 halves, as (re, im) pairs
-        lo, m0 = self.lo[ids], np.einsum("ij,ij->i", zero, zero)[p]
-        bit = np.heaviside(self.u[ids] - (lo + m0), 1.0)  # 1.0 where u >= lo + m0
-        self.outcomes[ids, q] = 1.0 - 2.0 * bit
-        self.lo[ids] = lo + m0 * bit
-        self.row[ids] = at + 2 * p + bit.astype(np.int64)
+        keys = (kind * count + self.row[start:stop])[order]
+        group = np.empty_like(keys)  # by shot: 1 + its group, after the cumsum
+        group[0] = 1
+        np.subtract(keys[1:], keys[:-1], out=group[1:])
+        first = np.append(np.flatnonzero(group), len(keys))  # each group's first shot
+        kind, src = np.divmod(keys[first[:-1]], count)
+        del keys
+        np.cumsum(np.minimum(group, 1, out=group), out=group)
+        # runs of one kind, cut to fit the buffer
+        buf, a = self.buffers[q], 0
+        for last in np.flatnonzero(np.diff(kind)).tolist() + [len(kind) - 1]:
+            letter, bit = divmod(int(kind[last]), 2)
+            while a <= last:
+                if self.held[q] == len(buf):
+                    self.flush(q)
+                at = self.held[q]
+                b = min(last + 1, a + len(buf) - at)
+                _build_children(halves, src[a:b], letter, bit, buf[at:at + b - a])
+                fa, fb = first[a], first[b]
+                np.add(group[fa:fb], at - a - 1, out=self.row[start + fa:start + fb])
+                self.held[q] = at + b - a
+                self.stop[q] = start + int(fb)
+                a = b
 
 
-def _rotate(rows, src, letter, out):
-    """Rows src (increasing within each letter) rotated by their `letter`, into `out`."""
-    x_end, y_end = np.searchsorted(letter, [1, 2]).tolist()
-    for mat, i, j in ((_BASIS_ROT[0], 0, x_end), (_BASIS_ROT[1], x_end, y_end)):
-        if i < j:
-            np.matmul(mat, _take_rows(rows, src[i:j]).reshape(out[i:j].shape), out=out[i:j])
-    if y_end < len(src):
-        out[y_end:] = _take_rows(rows, src[y_end:]).reshape(out[y_end:].shape)
+def _zero_masses(halves):
+    """(3, R) b = 0 masses of rows with halves (R, 2, h) in the X, Y and Z
+    bases: with c = <r0|r1>, (|r0|^2 + |r1|^2) / 2 + Re c, the same plus
+    Im c (H S^dag takes the row to (r0 - i r1) / sqrt 2), and |r0|^2."""
+    flat = halves.view(float)
+    norms = np.einsum("rhj,rhj->hr", flat, flat)
+    cross = np.vecdot(halves[:, 0], halves[:, 1])
+    mean = (norms[0] + norms[1]) * 0.5
+    return np.stack([mean + cross.real, mean + cross.imag, norms[0]])
 
 
-def _take_rows(rows, idx):
-    """rows[idx] for increasing `idx`; a view when the rows are consecutive."""
-    if idx[-1] - idx[0] == len(idx) - 1:
-        return rows[idx[0]:idx[-1] + 1]
-    return rows[idx]
+def _build_children(halves, src, letter, bit, out):
+    """out[i] = alpha * r0 + beta * r1 for the halves of row src[i] (src
+    increasing), (alpha, beta) the `bit` row of the letter's rotation, the
+    identity's for Z; views where the rows are consecutive."""
+    rows = slice(src[0], src[-1] + 1) if src[-1] - src[0] == len(src) - 1 else src
+    if letter == 2:
+        out[...] = halves[rows, bit]
+        return
+    alpha, beta = _BASIS_ROT[letter][bit]
+    np.multiply(halves[rows, 1], beta / alpha, out=out)  # beta / alpha is +-1 or +-i: exact
+    out += halves[rows, 0]
+    out *= alpha
 
 
 def collect_shadows(state: StateVector, num_samples: int, seed: int) -> ShadowSet:

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgenbench.circuits import GenerativeSpec, build_generative
+from qgenbench.circuits import GenerativeSpec, build_generative, resolve_tau2
 from qgenbench.pauli import PauliString, PauliSum, PauliTerm
-from qgenbench.seeding import rng_for
+from qgenbench.seeding import derive_seed, rng_for
 from qgenbench.shadows import (_BASIS_ROT, _SNAPSHOT_FACTORS, ShadowSet, collect_shadows,
                                estimate_pauli, estimate_rdm, shadows_to_csv,
                                single_shot_values)
 from qgenbench import shadows as shadows_mod
 from qgenbench import statevector as sv
-from shadows_reference import reference_cdf, reference_collect
+from shadows_reference import reference_cdf, reference_collect, reference_walk_collect
 
 def reference_rdm(shadows, subsystem):
     """Row-wise `np.unique(axis=0)` grouping of snapshots, kept to pin
@@ -60,7 +60,7 @@ def test_deterministic():
 
 
 # n = 16's top rows are larger than `_BATCH_AMPS`: there a level's buffer
-# holds one row's two halves, not a chunk of rows
+# holds one child row, not a chunk of rows
 @pytest.mark.parametrize("n, shots", [(3, 300), (10, 40), (16, 20)])
 def test_collect_leaves_state_untouched(n, shots):
     assert n < 16 or shadows_mod._BATCH_AMPS >> n == 0
@@ -107,37 +107,80 @@ def test_collect_workload_shape_bitwise():
     assert got.outcomes.tobytes() == outcomes.tobytes()
 
 
-def rotated_prefixes(bases, outcomes, letter):
-    """Distinct (outcome prefix on qubits q + 1..n - 1, letter prefix on qubits
-    q..n - 1) with `letter` at qubit q, counted over all q."""
-    n = bases.shape[1]
-    return sum(len({(bases[i, q:].tobytes(), outcomes[i, q + 1:].tobytes())
-                    for i in np.flatnonzero(bases[:, q] == letter)})
-               for q in range(n))
+def workload_states(n, count, seed=0):
+    """The subvolume workload's states and shot seeds: 2 layers, p = ln n / n,
+    the theorem's tau2, and seeds derived from (seed, n, trial)."""
+    tau2 = resolve_tau2("theorem", n, 2)
+    for trial in range(count):
+        spec = GenerativeSpec(n, 2, math.log(n) / n, tau2, derive_seed(seed, n, trial))
+        yield sv.run(build_generative(spec)), derive_seed(seed, n, trial, 1)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_collect_matches_rotating_walk_on_workload_bitwise(n):
+    """2,000 shots on 20 workload states per n: the bytes of the walk that
+    rotated every (row, letter) pair and read the masses off the halves."""
+    for state, shot_seed in workload_states(n, 20):
+        bases, outcomes = reference_walk_collect(state, 2000, shot_seed)
+        got = collect_shadows(state, 2000, shot_seed)
+        assert got.bases.tobytes() == bases.tobytes()
+        assert got.outcomes.tobytes() == outcomes.tobytes()
+
+
+def _rotated_zero_masses(halves):
+    """b = 0 masses of each row by letter, from the rotated halves."""
+    masses = []
+    for letter in range(3):
+        zero = (_BASIS_ROT[letter] @ halves)[:, 0] if letter < 2 else halves[:, 0]
+        masses.append(np.sum(np.abs(zero) ** 2, axis=1))
+    return np.array(masses)
+
+
+@pytest.mark.parametrize("width", [1, 2, 8, 64])
+def test_zero_masses_match_rotated_halves(width):
+    """The closed-form masses are the squared norms of the rotated b = 0
+    halves to within 1e-12 of the row's mass: random rows, exact-zero
+    halves and |+>-type ties."""
+    rng = np.random.default_rng(width)
+    r0 = rng.normal(size=(6, width)) + 1j * rng.normal(size=(6, width))
+    r1 = rng.normal(size=(6, width)) + 1j * rng.normal(size=(6, width))
+    zero = np.zeros_like(r0)
+    pairs = [(r0, r1), (r0, zero), (zero, r1), (zero, zero)]
+    pairs += [(r0, phase * r0) for phase in (1, -1, 1j, -1j)]  # ties: a zero mass
+    halves = np.concatenate([np.stack([a, b], axis=1) for a, b in pairs])
+    got, want = shadows_mod._zero_masses(halves), _rotated_zero_masses(halves)
+    scale = np.sum(np.abs(halves) ** 2, axis=(1, 2))
+    assert got.shape == (3, len(halves))
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    assert np.all(got[:, 18:24] == 0)  # (0, 0) rows: exactly zero
+
+
+def built_prefixes(bases, outcomes, q):
+    """Distinct (letters, outcomes) on qubits q..n - 1."""
+    return len({(bases[i, q:].tobytes(), outcomes[i, q:].tobytes())
+                for i in range(len(bases))})
 
 
 @pytest.mark.parametrize("n, shots, batch_amps", [
     (6, 500, 2**30), (6, 500, 2**14), (10, 2000, 2**14), (4, 40, 1)])
 def test_each_shared_prefix_rotated_once(monkeypatch, n, shots, batch_amps):
-    """Each distinct (letters, outcomes) prefix is one rotated row per X or Y
-    letter, no more, and one product rotates at most max(_BATCH_AMPS, one
-    row) amplitudes."""
+    """Each distinct (letters, outcomes) prefix on qubits q..n - 1 with q >= 1
+    is built exactly once as a child row, and one product builds at most
+    max(_BATCH_AMPS, one row) amplitudes."""
     monkeypatch.setattr(shadows_mod, "_BATCH_AMPS", batch_amps)
     state = random_state(n, 300 + n)
-    matmul, rotated = np.matmul, {0: [], 1: []}
-    def counting(mat, rows, **kwargs):
-        letter, = [k for k, rot in _BASIS_ROT.items() if rot is mat]
-        rotated[letter].append(rows.shape)
-        return matmul(mat, rows, **kwargs)
-    monkeypatch.setattr(np, "matmul", counting)
+    build, built = shadows_mod._build_children, []
+    def counting(halves, src, letter, bit, out):
+        built.append(out.shape)
+        return build(halves, src, letter, bit, out)
+    monkeypatch.setattr(shadows_mod, "_build_children", counting)
     got = collect_shadows(state, shots, 3)
-    monkeypatch.setattr(np, "matmul", matmul)
-    for letter, shapes in rotated.items():
-        assert sum(rows for rows, _, _ in shapes) == rotated_prefixes(got.bases, got.outcomes,
-                                                                      letter)
-        assert all(rows * 2 * half <= max(batch_amps, 2 * half) for rows, _, half in shapes)
-    if batch_amps >= shots * 2**n:  # one chunk per qubit: one X and one Y product each
-        assert len(rotated[0]) + len(rotated[1]) <= 2 * n
+    for q in range(1, n):
+        assert sum(rows for rows, width in built if width == 2**q) == built_prefixes(
+            got.bases, got.outcomes, q)
+    assert all(rows * width <= max(batch_amps, width) for rows, width in built)
+    if batch_amps >= shots * 2**n:  # one chunk per qubit: one product per (letter, bit)
+        assert len(built) <= 6 * (n - 1)
 
 
 def _product_state(n, letters, bits):
@@ -205,22 +248,31 @@ def test_walk_breaks_exact_boundaries_like_searchsorted(amps):
     assert outcomes.tolist() == (1 - 2 * ((bits[:, None] >> np.arange(2)) & 1)).tolist()
 
 
-@pytest.mark.parametrize("shots", [20, 2000])
-def test_collect_peak_memory_at_n16(shots):
-    """The walk holds at most three state sizes at n = 16."""
-    state = random_state(16, 116)
+def _collect_peak(state, shots, seed):
+    """Bytes tracemalloc sees above the starting level during one call."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        collect_shadows(state, shots, 4)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        collect_shadows(state, shots, seed)
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 3 * state.amplitudes.nbytes
+
+
+def test_collect_peak_memory_at_n10():
+    """The workload's largest call, n = 10 with 2,000 shots, within 1.5 MiB."""
+    assert _collect_peak(random_state(10, 110), 2000, 4) <= 1.5 * 2**20
+
+
+@pytest.mark.parametrize("shots", [20, 2000])
+def test_collect_peak_memory_at_n16(shots):
+    """The walk holds at most three state sizes at n = 16."""
+    state = random_state(16, 116)
+    assert _collect_peak(state, shots, 4) <= 3 * state.amplitudes.nbytes
 
 
 def test_bases_uniform():
