@@ -30,7 +30,8 @@ from .shadows import collect_shadows, shadows_to_csv
 from .statevector import expectation, run
 
 # Term bound of the exact propagation behind `features --backend propagation`:
-# 2**20 terms are 24 MiB of term arrays, a few times that while merging.
+# 2**20 terms are 17 MiB of term arrays (18 MiB past 255 rotation gates, where
+# the sine counts take two bytes), a few times that while merging.
 FEATURES_MAX_TERMS = 2**20
 
 

@@ -4,26 +4,31 @@ The observable (a real-coefficient Pauli sum) is conjugated layer by layer
 from the last circuit layer to the first; the final expectation is read off
 on |0...0>.  Terms are held in flat numpy arrays: one packed uint64 key
 (x << 32) | z per string, which caps the register at 32 qubits, plus the
-coefficient and the sine count, always in key order.  The policy truncates
-the observable once; after that, each rotation that splits a term is one
-kernel, `_rotate`.  Only the terms that anticommute with the generator G
-move: each keeps a cosine term in place and sends a sine term to the key of
-GP, which also anticommutes with G.  A sine term can therefore land only on
-its orbit partner, and one sort of the orbit representatives min(k, k ^ g),
-g the generator's key, finds those pairs, which merge in place.  The other
-sine terms past the sine cutoff go straight into `dropped_mass`; only the
-rest are merged into the sorted keys, and the term cap then finds its
-threshold with ``np.partition``.  A rotation layer first finds, with one OR-reduce of
-the keys, the qubits on which some term anticommutes with its axis; the
-other rotations split nothing and are skipped.  A brick layer runs its gates
-through the kernel one at a time.  A CZ layer creates no new terms: its
-gates commute, so the whole layer is one Clifford map of the keys,
-z <- z ^ M x with M the layer's adjacency matrix, plus one closed-form sign;
-the map permutes the keys, and one sort puts them back in order.
+coefficient and the sine count, always in key order.  A count never exceeds
+the circuit's number of rotation gates, so the counts are held in the
+narrowest unsigned type that holds that number (uint8 up to 255 gates).
+The policy truncates the observable once; after that, each rotation that
+splits a term is one kernel, `_rotate`.  Only the terms that anticommute
+with the generator G move: each keeps a cosine term in place and sends a
+sine term to the key of GP, which also anticommutes with G.  A sine term can
+therefore land only on its orbit partner, and one sort of the orbit
+representatives min(k, k ^ g), g the generator's key, finds those pairs,
+which merge in place.  The other sine terms past the sine cutoff go straight
+into `dropped_mass`; only the rest are merged into the sorted keys, and the
+term cap then finds its threshold with ``np.partition``.  A rotation layer
+first finds, with one OR-reduce of the keys, the qubits on which some term
+anticommutes with its axis; the other rotations split nothing and are
+skipped.  A brick layer runs its gates through the kernel one at a time.  A
+CZ layer creates no new terms: its gates commute, so the whole layer is one
+Clifford map of the keys, z <- z ^ M x with M the layer's adjacency matrix,
+plus one closed-form sign; the map permutes the keys, and one sort puts them
+back in order.
 
 Rotation gates follow the generator convention R(g) = exp(-i*g*G) with G a
 Pauli, so conjugating an anticommuting string P gives
 cos(2g)*P + sin(2g)*(iGP); the sine branch increments the term's sine count.
+For a one-qubit G, the sign of iGP is one bit of P's key; for a brick's
+two-qubit G it comes from a few popcounts of the keys.
 """
 
 from __future__ import annotations
@@ -89,6 +94,7 @@ class PropagationReport:
 
 
 _Z_MASK = np.uint64(0xFFFFFFFF)  # the z half of a packed key
+_SIGN_BIT = np.uint64(1 << 63)  # of a float64 viewed as uint64
 
 
 def _key(x: int, z: int) -> int:
@@ -100,13 +106,15 @@ class _TermArrays:
     """Flat storage: packed (x << 32) | z keys (uint64), coefficients, sine counts.
 
     The keys are distinct and in increasing order: every kernel takes and
-    returns its terms in key order.
+    returns its terms in key order.  The counts are in the unsigned type
+    `propagate` picks for the circuit, and every kernel returns them in the
+    type it was given.
     """
 
     def __init__(self, k, c, s):
         self.k = np.asarray(k, dtype=np.uint64)
         self.c = np.asarray(c, dtype=np.float64)
-        self.s = np.asarray(s, dtype=np.int64)
+        self.s = np.asarray(s)
 
     def __len__(self):
         return len(self.c)
@@ -115,12 +123,12 @@ class _TermArrays:
         return _TermArrays(self.k[idx], self.c[idx], self.s[idx])
 
     @classmethod
-    def from_sum(cls, obs: PauliSum) -> "_TermArrays":
-        """Sorted arrays of a sum, every sine count 0 (a PauliSum holds no
-        duplicates and no zeros)."""
+    def from_sum(cls, obs: PauliSum, count_type: np.dtype) -> "_TermArrays":
+        """Sorted arrays of a sum, every sine count 0 in `count_type` (a
+        PauliSum holds no duplicates and no zeros)."""
         terms = sorted(obs, key=lambda t: _key(t.string.x, t.string.z))
         return cls([_key(t.string.x, t.string.z) for t in terms],
-                   [t.coefficient for t in terms], np.zeros(len(terms), dtype=np.int64))
+                   [t.coefficient for t in terms], np.zeros(len(terms), dtype=count_type))
 
 
 def _generator_key(letter: str, qubits: Sequence[int]) -> int:
@@ -142,7 +150,28 @@ def _splitting_qubits(t: _TermArrays, axis: str) -> int:
 
 def _sine_signs(ak: np.ndarray, sk: np.ndarray, gx: int, gz: int) -> np.ndarray:
     """Sign bits (bit 63 set for -1) of the sine terms iGP of the strings P
-    with keys `ak`, whose products GP have keys `sk`.
+    with keys `ak`, each anticommuting with G, whose products GP have keys
+    `sk`.
+
+    For G on one qubit q, the sign is that of i times the product of G and
+    P's letter on q, which anticommutes with it: iXY = -Z and iXZ = Y,
+    iYX = Z and iYZ = -X, iZX = -Y and iZY = X.  So it is -1 when P has x_q
+    for X, lacks x_q for Y and lacks z_q for Z: one bit of each key, 32 + q
+    or q, shifted up to bit 63.  Other generators take `_symplectic_signs`.
+    """
+    mask = gx | gz
+    if mask.bit_count() != 1:
+        return _symplectic_signs(ak, sk, gx, gz)
+    q = mask.bit_length() - 1
+    signs = ak << np.uint64(31 - q if gx else 63 - q)
+    signs &= _SIGN_BIT
+    if gz:
+        signs ^= _SIGN_BIT
+    return signs
+
+
+def _symplectic_signs(ak: np.ndarray, sk: np.ndarray, gx: int, gz: int) -> np.ndarray:
+    """`_sine_signs` for any generator G, from popcounts of the keys.
 
     With P = i^(x.z) X^x Z^z, GP = i^k X^x3 Z^z3 for x3, z3 the XORs and
     k = gx.gz + px.pz + 2 gz.px - x3.z3, so iGP carries the real phase
@@ -164,17 +193,20 @@ def _rotate(t: _TermArrays, gkey: int, c2: float, s2: float, pol: TruncationPoli
     returned when no term anticommutes with G.
 
     `t` is in key order with distinct keys, each |c| >= COEFF_EPS, and under
-    a sine cutoff every count is within it, as truncation leaves them.  Only
-    the m anticommuting terms move.  GP anticommutes with G as P does, so a
-    sine term can land only on the anticommuting term GP, and then the sine
-    term of GP lands on P: duplicates are the orbit pairs {P, GP} inside the
-    anticommuting set, found by one sort of min(key, key ^ gkey).  A pair
-    merges in place.  Of the other sine terms, those past the cutoff go
-    straight into `dropped_mass`, summed in the order of their keys, and
-    only the rest are merged into the keys.  The survivors come out in key
-    order.  Bit for bit, the result is that of merging every rotated term
-    into a sorted set first and truncating that set after: the same
-    coefficients, and the cut magnitudes summed in merged key order.
+    a sine cutoff every count is within it, as truncation leaves them.  The
+    counts keep their unsigned type, and every count is below its top: a
+    count never exceeds the rotations already applied, and `propagate`'s
+    type holds them all.  Only the m anticommuting terms move.  GP
+    anticommutes with G as P does, so a sine term can land only on the
+    anticommuting term GP, and then the sine term of GP lands on P:
+    duplicates are the orbit pairs {P, GP} inside the anticommuting set,
+    found by one sort of min(key, key ^ gkey).  A pair merges in place.  Of
+    the other sine terms, those past the cutoff go straight into
+    `dropped_mass`, summed in the order of their keys, and only the rest are
+    merged into the keys.  The survivors come out in key order.  Bit for
+    bit, the result is that of merging every rotated term into a sorted set
+    first and truncating that set after: the same coefficients, and the cut
+    magnitudes summed in merged key order.
     """
     gx, gz = gkey >> 32, gkey & 0xFFFFFFFF
     # P anticommutes with G when |x & gz| + |z & gx| is odd: one popcount
@@ -315,7 +347,12 @@ def propagate(circuit: Circuit, observable: PauliSum,
     if observable.n != circuit.n:
         raise ValueError("observable qubit count differs from circuit")
     report = PropagationReport(expectation=0.0)
-    t = _TermArrays.from_sum(observable)
+    # each rotation gate adds at most 1 to a sine count, so the narrowest
+    # unsigned type that holds their number holds every count; each brick
+    # rotation reads its own parameter
+    rotations = circuit.num_params + sum(len(layer.angles) for layer in circuit.layers
+                                         if isinstance(layer, RotationLayer))
+    t = _TermArrays.from_sum(observable, np.min_scalar_type(rotations))
     start = time.monotonic()
     # the observable is truncated once; after that only a split can give
     # truncation work, as a CZ layer, or a rotation that splits nothing,

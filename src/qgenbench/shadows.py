@@ -223,6 +223,8 @@ def collect_shadows(state: StateVector, num_samples: int, seed: int) -> ShadowSe
 
 def single_shot_values(shadows: ShadowSet, pauli: PauliString) -> np.ndarray:
     """Per-shot estimator values for one Pauli string (0 on basis mismatch)."""
+    if pauli.n != shadows.n:
+        raise ValueError(f"Pauli string acts on {pauli.n} qubits, the shadows on {shadows.n}")
     support = [q for q in range(pauli.n) if pauli.letter_index(q) != 0]
     vals = np.full(len(shadows), float(3 ** len(support)))
     for q in support:
@@ -251,6 +253,8 @@ def estimate_rdm(shadows: ShadowSet, subsystem: Iterable[int]) -> np.ndarray:
     count and summed in increasing order of its base-6 code.
     """
     keep = sorted(set(subsystem))
+    if keep and not 0 <= keep[0] <= keep[-1] < shadows.n:
+        raise ValueError(f"subsystem {keep} reaches outside qubits 0..{shadows.n - 1}")
     if not keep:
         return np.ones((1, 1), dtype=complex)
     # one factor index 2*basis + bit per kept qubit, largest qubit first; as

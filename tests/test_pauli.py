@@ -39,8 +39,9 @@ def rand_string(rng, n):
 
 
 def arrays(s: PauliSum) -> _TermArrays:
-    """Engine arrays of a sum, sorted as ``propagate`` holds its input."""
-    return _TermArrays.from_sum(s)
+    """Engine arrays of a sum, sorted as ``propagate`` holds its input, with
+    int64 sine counts, a type that holds any count."""
+    return _TermArrays.from_sum(s, np.int64)
 
 
 def rand_arrays(rng, n, k):

@@ -55,6 +55,14 @@ def test_golden_pauliprop_unit_replays(unit):
         assert abs(getattr(out["report"], key) - unit[key]) <= 1e-9, key
 
 
+@pytest.mark.parametrize("unit", GOLDEN["units"], ids=lambda u: f"n{u['n']}-trial{u['trial']}")
+def test_golden_pauliprop_unit_replays_bitwise(unit):
+    # the recorded floats round-trip through JSON, so the replay must equal them
+    out = WORKLOADS["pauliprop"].unit(NULL_TRACER, GOLDEN_SEED, (unit["n"],), unit["trial"])
+    for key in ("expectation", "dropped_mass"):
+        assert getattr(out["report"], key) == unit[key], key
+
+
 def test_shadows_round0_matches_reference_sampler():
     # the benchmark's shots, replayed through the former CDF sampler
     workload = WORKLOADS["shadows"]

@@ -10,9 +10,11 @@ from qgenbench.circuits import (BRICK_PARAMS, BrickLayer, Circuit, CZLayer, Gene
                                 concatenate, default_depth)
 from qgenbench.pauli import COEFF_EPS, PauliString, PauliSum, PauliTerm
 from qgenbench.propagation import (PropagationReport, ResourceLimitError,
-                                   TruncationPolicy, _generator_key, _rotate,
-                                   _splitting_qubits, _term_cap, _TermArrays,
-                                   benchmark_propagation, propagate, sine_cutoff_default)
+                                   TruncationPolicy, _generator_key, _rotate, _sine_signs,
+                                   _splitting_qubits, _symplectic_signs, _term_cap,
+                                   _TermArrays, benchmark_propagation, propagate,
+                                   sine_cutoff_default)
+from qgenbench import propagation as propagation_mod
 from qgenbench.seeding import derive_seed
 from qgenbench import statevector as sv
 
@@ -452,7 +454,7 @@ def test_rotation_layer_skips_qubits_without_anticommuting_terms(policy):
     # on qubit 1; backward, the X layer comes first and skips qubits 1 and 2
     obs = PauliSum(5, [PauliTerm(0.75, PauliString.from_label("ZXIZI")),
                        PauliTerm(-0.5, PauliString.from_label("IIIIZ"))])
-    terms = _TermArrays.from_sum(obs)
+    terms = _TermArrays.from_sum(obs, np.uint8)
     assert [_splitting_qubits(terms, axis) for axis in "XYZ"] == [0b11001, 0b11011, 0b00010]
     angles = (0.3, -0.2, 0.1, 0.7, -0.4)
     circ = Circuit(5, tuple(RotationLayer(axis, "gen", angles) for axis in "ZYX"))
@@ -579,15 +581,95 @@ ZZ01 = _generator_key("Z", (0, 1))
 @settings(max_examples=300, deadline=None)
 def test_rotate_matches_concat_and_sort_reference_bitwise(step):
     keys, coeffs, counts, gkey, angle, policy = step
-    t = _TermArrays(keys, coeffs, counts)
+    # propagate holds the counts in uint8 or uint16; int64 gives the values
+    # that any narrower type must keep
+    wide, *narrow = [_assert_rotate_matches_reference(
+        _TermArrays(keys, coeffs, np.array(counts, dtype=count_type)), gkey, angle, policy)
+        for count_type in (np.int64, np.uint8, np.uint16)]
+    for got in narrow:
+        assert (got is None) == (wide is None)
+        assert got is None or np.array_equal(got.s, wide.s)
+
+
+def _assert_rotate_matches_reference(t, gkey, angle, policy):
+    """`_rotate` and `reference_rotate` agree bitwise on `t`, and the counts
+    come back in their given type; returns `_rotate`'s terms, or None on an
+    exact-mode overrun."""
     got, got_report = _split_or_overrun(_rotate, t, gkey, angle, policy)
     want, want_report = _split_or_overrun(reference_rotate, t, gkey, angle, policy)
     # dropped_mass bits, and the final_terms of an overrun's partial report
     assert got_report == want_report
     if want is None:
         assert got is None
-        return
+        return None
     assert (got is t) == (want is t)
     assert np.array_equal(got.k, want.k)
     assert np.array_equal(got.c.view(np.uint64), want.c.view(np.uint64))
+    # an upcast would keep every value: check the type too
+    assert got.s.dtype == t.s.dtype
     assert np.array_equal(got.s, want.s)
+    return got
+
+
+@pytest.mark.parametrize("count_type", [np.uint8, np.uint16])
+@pytest.mark.parametrize("below_top", [None, 0, 1], ids=["exact", "cutoff_top", "cutoff_top-1"])
+def test_rotate_counts_reach_the_top_of_their_type(count_type, below_top):
+    # counts one and two below the top, so that sine terms reach it, on orbit
+    # pairs too; the cutoff sits at the top or one below it.  No count
+    # starts at the top inside propagate, whose type holds one more count
+    # than the rotations applied before any gate
+    top = int(np.iinfo(count_type).max)
+    policy = EXACT if below_top is None else TruncationPolicy(sine_cutoff=top - below_top)
+    gkey = _generator_key("Y", (2,))
+    pairs = [0b101, 1 << 34 | 0b10, 3 << 34 | 1, 1 << 33 | 1 << 2]
+    keys = sorted({key ^ flip for key in pairs for flip in (0, gkey)} | {1 << 2, 1 << 34 | 1 << 5})
+    coeffs = [0.5, -0.25, 1.0, 0.125, -0.75, 0.375, 2.0, -1.5, 0.625, 0.0625]
+    counts = [top - 1 - i % 2 for i in range(len(keys))]
+    assert len(keys) == len(coeffs)
+    wide = _assert_rotate_matches_reference(_TermArrays(keys, coeffs, counts), gkey, 0.3, policy)
+    got = _assert_rotate_matches_reference(
+        _TermArrays(keys, coeffs, np.array(counts, dtype=count_type)), gkey, 0.3, policy)
+    assert got.s.max() == top - (below_top or 0)
+    assert np.array_equal(got.s, wide.s)
+    assert np.array_equal(got.c.view(np.uint64), wide.c.view(np.uint64))
+
+
+@pytest.mark.parametrize("policy", [EXACT, TruncationPolicy(sine_cutoff=300)], ids=str)
+def test_propagate_counts_in_uint16_past_255_rotation_gates(monkeypatch, policy):
+    n = 6
+    circ = concatenate(
+        build_generative(GenerativeSpec(n, 2, math.log(n) / n, 0.2499, derive_seed(5, 0))),
+        build_trainable(n, 8, derive_seed(5, 1), "uniform"))
+    assert sum(1 for gate in circ.gates() if gate.kind != "CZ") > 255
+    seen = set()
+
+    def recording_rotate(t, *args):
+        out = _rotate(t, *args)
+        seen.update((t.s.dtype, out.s.dtype))
+        return out
+
+    monkeypatch.setattr(propagation_mod, "_rotate", recording_rotate)
+    assert_same_report(circ, z_obs(n), policy)
+    assert seen == {np.dtype(np.uint16)}
+
+
+LETTER_MASKS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=32)
+
+
+@given(LETTER_MASKS)
+@example([0, 2**64 - 1, 0xAAAAAAAAAAAAAAAA, 0x5555555555555555]).via("all-zero and all-one keys")
+@settings(max_examples=60)
+def test_one_qubit_sine_signs_match_the_popcount_form(keys):
+    # X, Y and Z on every qubit, so that X on qubit 31 reads key bit 63
+    for letter in "XYZ":
+        for q in range(32):
+            gkey = _generator_key(letter, (q,))
+            gx, gz = gkey >> 32, gkey & 0xFFFFFFFF
+            swapped = (gz << 32) | gx
+            # flipping the lowest bit of the swapped mask (z_q for X and Y,
+            # x_q for Z) makes a commuting key anticommute
+            ak = np.array([key if ((key & swapped).bit_count() & 1)
+                           else key ^ (swapped & -swapped) for key in keys], dtype=np.uint64)
+            sk = ak ^ np.uint64(gkey)
+            assert np.array_equal(_sine_signs(ak, sk, gx, gz),
+                                  _symplectic_signs(ak, sk, gx, gz)), (letter, q)

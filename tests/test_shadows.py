@@ -390,6 +390,22 @@ def test_median_of_means_robust():
     assert estimate_pauli(bad, z, groups=10) == pytest.approx(1.0, abs=0.1)
 
 
+@pytest.mark.parametrize("label", ["ZII", "IIZ", "Z"])
+def test_estimate_pauli_rejects_strings_of_other_widths(label):
+    # on two qubits, ZII used to read 1.2 and IIZ to raise IndexError
+    shadows = collect_shadows(sv.StateVector.zero(2), 100, seed=13)
+    with pytest.raises(ValueError, match="acts on"):
+        estimate_pauli(shadows, PauliString.from_label(label))
+
+
+@pytest.mark.parametrize("subsystem", [[-1], [2], [0, 2], [-3, 1]])
+def test_estimate_rdm_rejects_qubits_outside_the_register(subsystem):
+    # [-1] used to return qubit 1's reduced state
+    shadows = collect_shadows(sv.StateVector.zero(2), 100, seed=13)
+    with pytest.raises(ValueError, match="outside qubits 0..1"):
+        estimate_rdm(shadows, subsystem)
+
+
 def test_csv_round_trip_shape():
     shadows = collect_shadows(bell_state(), 5, seed=14)
     text = shadows_to_csv(shadows)
