@@ -27,16 +27,16 @@ import numpy as np
 
 from .pauli import PauliString
 from .seeding import rng_for
-from .statevector import StateVector
+from .statevector import MAX_SV_QUBITS, StateVector
 
 BASIS_LETTERS = "XYZ"
 
-# Amplitudes per chunk of the sampling walk: one product builds at most
-# max(_BATCH_AMPS, one row) of them, and each level keeps a buffer of that
-# size, 1.5 state sizes in all at n = 16 with 20 shots and 2.3 with 2,000.
-# A larger chunk means fewer visits and more memory (n = 10, 2,000 shots:
-# 58 visits and 0.57 MB of buffers at 2**12, 32 and 1.0 MB at 2**13, 19 and
-# 1.7 MB at 2**14).
+# Amplitudes per chunk of the sampling walk: each level keeps a buffer of
+# max(_BATCH_AMPS, one row) of them, and one product builds each buffer fill;
+# 1.5 state sizes of buffers in all at n = 16 with 20 shots and 2.3 with 2,000
+# (tracemalloc peaks of 1.6 and 2.6).  A larger chunk means fewer visits and
+# more memory (n = 10, 2,000 shots: 58 visits and 0.57 MB of buffers at
+# 2**12, 32 and 1.0 MB at 2**13, 19 and 1.7 MB at 2**14).
 _BATCH_AMPS = 2**13
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -45,6 +45,14 @@ _BASIS_ROT = {
     0: np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),          # X: H
     1: np.array([[_SQ2, -1j * _SQ2], [_SQ2, 1j * _SQ2]], dtype=complex),  # Y: H S^dag
 }
+
+# By kind = 2 * letter + bit: the half a child is gathered from (r1 for X and
+# Y, the kept half for Z), and for X and Y the bit's row (alpha, beta) of the
+# letter's rotation as alpha and beta / alpha, which is +-1 or +-i, so that
+# r1 * (beta / alpha) is exact
+_START_HALF = np.array([1, 1, 1, 1, 0, 1])
+_ALPHA = np.array([_BASIS_ROT[k >> 1][k & 1][0] for k in range(4)])
+_RATIO = np.array([beta / alpha for alpha, beta in (_BASIS_ROT[k >> 1][k & 1] for k in range(4))])
 
 # Single-qubit snapshot factors 3|b><b| - Id, indexed by 2*basis + outcome-bit
 _SNAPSHOT_FACTORS = np.array([
@@ -82,11 +90,11 @@ class _Walk:
     when u[s] >= lo[s] + m0, m0 the b = 0 mass of its row in its letter's
     basis (`_zero_masses`) and lo[s] the mass of all index-earlier outcomes,
     which is inverse-CDF sampling with qubit n - 1 as the most significant
-    bit.  Each distinct (letter, bit, row) child is then built once
-    (`_build_children`) into the buffer of level q, whose rows are the chunk
-    that walks qubit q - 1, depth first, when the buffer is full.  Sibling
-    visits share a buffer, and level q >= 1 holds at most
-    max(`_BATCH_AMPS`, 2**q) amplitudes.
+    bit.  Each distinct (letter, bit, row) child is then built once into the
+    buffer of level q, one product (`_build_children`) per buffer fill, and
+    the buffer's rows are the chunk that walks qubit q - 1, depth first,
+    when it is full.  Sibling visits share a buffer, and level q >= 1 holds
+    at most max(`_BATCH_AMPS`, 2**q) amplitudes.
     """
 
     def __init__(self, bases: np.ndarray, u: np.ndarray):
@@ -127,7 +135,8 @@ class _Walk:
 
     def visit(self, q: int, rows: np.ndarray, start: int, stop: int) -> None:
         """Fix qubit q of the shots order[start:stop], whose rows are `rows`,
-        and build their children.
+        and build their children, sorted by (letter, bit, row), in buffer
+        fills of level q.
 
         Makes no bool or int8 temporaries: numpy keeps up to seven freed
         buffers of each size under 1 KB, and small ones of varying sizes
@@ -150,31 +159,31 @@ class _Walk:
         # rows never decrease along `order`, so one stable sort by
         # kind = 2 * letter + bit groups the shots by (letter, bit, row);
         # int16 keys take numpy's radix sort
-        order = np.argsort(kind.astype(np.int16), kind="stable")
+        order = kind.astype(np.int16).argsort(kind="stable")
         shots[:] = shots[order]
         keys = (kind * count + self.row[start:stop])[order]
-        group = np.empty_like(keys)  # by shot: 1 + its group, after the cumsum
-        group[0] = 1
-        np.subtract(keys[1:], keys[:-1], out=group[1:])
-        first = np.append(np.flatnonzero(group), len(keys))  # each group's first shot
+        # by shot: 1 + its group, after the cumsum; a last 1 marks the end
+        group = np.empty(len(keys) + 1, dtype=np.int64)
+        group[0] = group[-1] = 1
+        np.subtract(keys[1:], keys[:-1], out=group[1:-1])
+        first = group.nonzero()[0]  # each group's first shot, then len(keys)
         kind, src = np.divmod(keys[first[:-1]], count)
         del keys
-        np.cumsum(np.minimum(group, 1, out=group), out=group)
-        # runs of one kind, cut to fit the buffer
+        group = group[:-1]
+        np.minimum(group, 1, out=group).cumsum(out=group)
+        # the groups in buffer fills, each built by one product
         buf, a = self.buffers[q], 0
-        for last in np.flatnonzero(np.diff(kind)).tolist() + [len(kind) - 1]:
-            letter, bit = divmod(int(kind[last]), 2)
-            while a <= last:
-                if self.held[q] == len(buf):
-                    self.flush(q)
-                at = self.held[q]
-                b = min(last + 1, a + len(buf) - at)
-                _build_children(halves, src[a:b], letter, bit, buf[at:at + b - a])
-                fa, fb = first[a], first[b]
-                np.add(group[fa:fb], at - a - 1, out=self.row[start + fa:start + fb])
-                self.held[q] = at + b - a
-                self.stop[q] = start + int(fb)
-                a = b
+        while a < len(src):
+            if self.held[q] == len(buf):
+                self.flush(q)
+            at = self.held[q]
+            b = min(len(src), a + len(buf) - at)
+            _build_children(halves, src[a:b], kind[a:b], buf[at:at + b - a])
+            fa, fb = first[a], first[b]
+            np.add(group[fa:fb], at - a - 1, out=self.row[start + fa:start + fb])
+            self.held[q] = at + b - a
+            self.stop[q] = start + int(fb)
+            a = b
 
 
 def _zero_masses(halves):
@@ -184,22 +193,39 @@ def _zero_masses(halves):
     flat = halves.view(float)
     norms = np.einsum("rhj,rhj->hr", flat, flat)
     cross = np.vecdot(halves[:, 0], halves[:, 1])
-    mean = (norms[0] + norms[1]) * 0.5
-    return np.stack([mean + cross.real, mean + cross.imag, norms[0]])
+    masses = np.empty((3, len(halves)))
+    mean = np.add(norms[0], norms[1], out=masses[2])  # the Z row holds it until the end
+    mean *= 0.5
+    np.add(mean, cross.real, out=masses[0])
+    np.add(mean, cross.imag, out=masses[1])
+    masses[2] = norms[0]
+    return masses
 
 
-def _build_children(halves, src, letter, bit, out):
-    """out[i] = alpha * r0 + beta * r1 for the halves of row src[i] (src
-    increasing), (alpha, beta) the `bit` row of the letter's rotation, the
-    identity's for Z; views where the rows are consecutive."""
-    rows = slice(src[0], src[-1] + 1) if src[-1] - src[0] == len(src) - 1 else src
-    if letter == 2:
-        out[...] = halves[rows, bit]
-        return
-    alpha, beta = _BASIS_ROT[letter][bit]
-    np.multiply(halves[rows, 1], beta / alpha, out=out)  # beta / alpha is +-1 or +-i: exact
-    out += halves[rows, 0]
-    out *= alpha
+def _build_children(halves, src, kind, out):
+    """out[i] = alpha * r0 + beta * r1 for the halves (r0, r1) of row src[i],
+    (alpha, beta) the bit's row of the letter's rotation for kind[i] =
+    2 * letter + bit, the identity's for Z.
+
+    kind never decreases and src increases within each kind, so the X and Y
+    children come first.  One gather starts every child from r1, or for Z
+    from its kept half, and the X and Y children are then built as
+    (r1 * (beta / alpha) + r0) * alpha, the same products for every mix of
+    kinds.  r0 is read as a view when those children are one kind on
+    consecutive rows, so a fill of one large row makes no temporaries.
+    """
+    xy = int(kind.searchsorted(4))
+    at = 2 * src
+    at += _START_HALF.take(kind)
+    # mode="raise" would gather into a temporary and copy it to `out`
+    halves.reshape(-1, halves.shape[2]).take(at, axis=0, out=out, mode="clip")
+    if xy:
+        head = out[:xy]
+        head *= _RATIO.take(kind[:xy])[:, None]
+        lo, hi = int(src[0]), int(src[xy - 1])
+        head += (halves[lo:hi + 1, 0] if kind[0] == kind[xy - 1] and hi - lo == xy - 1
+                 else halves[src[:xy], 0])
+        head *= _ALPHA.take(kind[:xy])[:, None]
 
 
 def collect_shadows(state: StateVector, num_samples: int, seed: int) -> ShadowSet:
@@ -234,8 +260,11 @@ def single_shot_values(shadows: ShadowSet, pauli: PauliString) -> np.ndarray:
 
 
 def estimate_pauli(shadows: ShadowSet, pauli: PauliString, groups: int = 10) -> float:
-    """Median of `groups` group means of the single-shot estimator."""
+    """Median of `groups` group means of the single-shot estimator; needs at
+    least one shot per group."""
     vals = single_shot_values(shadows, pauli)
+    if len(vals) < max(groups, 1):
+        raise ValueError(f"{len(vals)} shots cannot fill {max(groups, 1)} group(s)")
     if groups <= 1:
         return float(np.mean(vals))
     means = [float(np.mean(chunk)) for chunk in np.array_split(vals, groups)]
@@ -250,11 +279,16 @@ def estimate_rdm(shadows: ShadowSet, subsystem: Iterable[int]) -> np.ndarray:
     qubit give the same snapshot, so each distinct snapshot is built once,
     all of them together with one broadcast product per kept qubit in
     reduce(np.kron)'s left-to-right association, then weighted by its shot
-    count and summed in increasing order of its base-6 code.
+    count and summed in increasing order of its base-6 code.  Raises
+    ValueError on an empty shadow set, and before any snapshot is built when
+    the distinct snapshots would take more than one `MAX_SV_QUBITS` state's
+    bytes.
     """
     keep = sorted(set(subsystem))
     if keep and not 0 <= keep[0] <= keep[-1] < shadows.n:
         raise ValueError(f"subsystem {keep} reaches outside qubits 0..{shadows.n - 1}")
+    if not len(shadows):
+        raise ValueError("no shots to estimate a reduced state from")
     if not keep:
         return np.ones((1, 1), dtype=complex)
     # one factor index 2*basis + bit per kept qubit, largest qubit first; as
@@ -263,6 +297,10 @@ def estimate_rdm(shadows: ShadowSet, subsystem: Iterable[int]) -> np.ndarray:
     factors = 2 * shadows.bases[:, cols] + (1 - shadows.outcomes[:, cols]) // 2
     place = 6 ** np.arange(len(keep) - 1, -1, -1, dtype=np.int64)
     codes, counts = np.unique(factors.astype(np.int64) @ place, return_counts=True)
+    size = len(codes) * 16 * 4 ** len(keep)
+    if size > 16 * 2**MAX_SV_QUBITS:
+        raise ValueError(f"{len(codes)} distinct snapshots on {len(keep)} qubits would take "
+                         f"{size} bytes, more than a {MAX_SV_QUBITS}-qubit state")
     per_qubit = _SNAPSHOT_FACTORS[codes[:, None] // place % 6]  # (K, kept, 2, 2)
     snapshots = per_qubit[:, 0]
     for j in range(1, len(keep)):

@@ -15,7 +15,7 @@ from qgenbench.shadows import (_BASIS_ROT, _SNAPSHOT_FACTORS, ShadowSet, collect
                                single_shot_values)
 from qgenbench import shadows as shadows_mod
 from qgenbench import statevector as sv
-from shadows_reference import reference_cdf, reference_collect, reference_walk_collect
+from shadows_reference import build_run, per_run_collect, reference_cdf, reference_collect
 
 def reference_rdm(shadows, subsystem):
     """Row-wise `np.unique(axis=0)` grouping of snapshots, kept to pin
@@ -117,11 +117,11 @@ def workload_states(n, count, seed=0):
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
-def test_collect_matches_rotating_walk_on_workload_bitwise(n):
+def test_collect_matches_per_run_walk_on_workload_bitwise(n):
     """2,000 shots on 20 workload states per n: the bytes of the walk that
-    rotated every (row, letter) pair and read the masses off the halves."""
+    built each (letter, bit) run of a buffer fill with its own product."""
     for state, shot_seed in workload_states(n, 20):
-        bases, outcomes = reference_walk_collect(state, 2000, shot_seed)
+        bases, outcomes = per_run_collect(state, 2000, shot_seed)
         got = collect_shadows(state, 2000, shot_seed)
         assert got.bases.tobytes() == bases.tobytes()
         assert got.outcomes.tobytes() == outcomes.tobytes()
@@ -170,17 +170,43 @@ def test_each_shared_prefix_rotated_once(monkeypatch, n, shots, batch_amps):
     monkeypatch.setattr(shadows_mod, "_BATCH_AMPS", batch_amps)
     state = random_state(n, 300 + n)
     build, built = shadows_mod._build_children, []
-    def counting(halves, src, letter, bit, out):
+    def counting(halves, src, kind, out):
         built.append(out.shape)
-        return build(halves, src, letter, bit, out)
+        return build(halves, src, kind, out)
     monkeypatch.setattr(shadows_mod, "_build_children", counting)
     got = collect_shadows(state, shots, 3)
     for q in range(1, n):
         assert sum(rows for rows, width in built if width == 2**q) == built_prefixes(
             got.bases, got.outcomes, q)
     assert all(rows * width <= max(batch_amps, width) for rows, width in built)
-    if batch_amps >= shots * 2**n:  # one chunk per qubit: one product per (letter, bit)
-        assert len(built) <= 6 * (n - 1)
+    if batch_amps >= shots * 2**n:  # one chunk per qubit: one product per level
+        assert [width for rows, width in built] == [2**q for q in range(n - 1, 0, -1)]
+
+
+@pytest.mark.parametrize("kind, src", [
+    ([0, 0, 2, 2], [0, 2, 1, 3]),  # X rows then Y rows: spans 3 rows, not consecutive
+    ([0, 1, 2, 3, 4, 5], [1, 1, 1, 1, 1, 1]),
+    ([1, 1, 1, 4, 4, 5], [0, 1, 2, 0, 2, 3]),
+    ([3, 3, 3], [1, 2, 3]),  # consecutive rows of one kind: r0 is a view
+    ([4, 5, 5], [2, 0, 3]),
+    ([2], [3]), ([5], [0]),  # one-row fills
+])
+@pytest.mark.parametrize("width", [1, 4])
+def test_build_children_matches_per_run_builds_bitwise(kind, src, width):
+    """One product per fill gives the bytes of one product per (letter, bit)
+    run, signed zeros included."""
+    rng = np.random.default_rng(width)
+    halves = rng.normal(size=(4, 2, width)) + 1j * rng.normal(size=(4, 2, width))
+    halves[0, 0] = 0.0  # exact zeros in r0 and r1
+    halves[2, 1] = -0.0
+    kind, src = np.array(kind), np.array(src)
+    got = np.full((len(kind), width), np.nan, dtype=complex)
+    shadows_mod._build_children(halves, src, kind, got)
+    want = np.empty_like(got)
+    for k in np.unique(kind):
+        a, b = np.searchsorted(kind, [k, k + 1])
+        build_run(halves, src[a:b], k // 2, k % 2, want[a:b])
+    assert got.tobytes() == want.tobytes()
 
 
 def _product_state(n, letters, bits):
@@ -248,7 +274,7 @@ def test_walk_breaks_exact_boundaries_like_searchsorted(amps):
     assert outcomes.tolist() == (1 - 2 * ((bits[:, None] >> np.arange(2)) & 1)).tolist()
 
 
-def _collect_peak(state, shots, seed):
+def _peak(call, *args):
     """Bytes tracemalloc sees above the starting level during one call."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -256,7 +282,7 @@ def _collect_peak(state, shots, seed):
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        collect_shadows(state, shots, seed)
+        call(*args)
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
@@ -265,14 +291,14 @@ def _collect_peak(state, shots, seed):
 
 def test_collect_peak_memory_at_n10():
     """The workload's largest call, n = 10 with 2,000 shots, within 1.5 MiB."""
-    assert _collect_peak(random_state(10, 110), 2000, 4) <= 1.5 * 2**20
+    assert _peak(collect_shadows, random_state(10, 110), 2000, 4) <= 1.5 * 2**20
 
 
 @pytest.mark.parametrize("shots", [20, 2000])
 def test_collect_peak_memory_at_n16(shots):
     """The walk holds at most three state sizes at n = 16."""
     state = random_state(16, 116)
-    assert _collect_peak(state, shots, 4) <= 3 * state.amplitudes.nbytes
+    assert _peak(collect_shadows, state, shots, 4) <= 3 * state.amplitudes.nbytes
 
 
 def test_bases_uniform():
@@ -404,6 +430,33 @@ def test_estimate_rdm_rejects_qubits_outside_the_register(subsystem):
     shadows = collect_shadows(sv.StateVector.zero(2), 100, seed=13)
     with pytest.raises(ValueError, match="outside qubits 0..1"):
         estimate_rdm(shadows, subsystem)
+
+
+@pytest.mark.parametrize("shots, groups", [(0, 10), (0, 1), (5, 10)])
+def test_estimate_pauli_rejects_too_few_shots(shots, groups):
+    # an empty set, or more groups than shots, used to give NaN
+    shadows = collect_shadows(sv.StateVector.zero(2), shots, seed=13)
+    with pytest.raises(ValueError, match="cannot fill"):
+        estimate_pauli(shadows, PauliString.from_label("ZI"), groups=groups)
+
+
+@pytest.mark.parametrize("subsystem", [[], [0, 1]])
+def test_estimate_rdm_rejects_an_empty_set(subsystem):
+    # [0, 1] used to give a NaN matrix
+    with pytest.raises(ValueError, match="no shots"):
+        estimate_rdm(collect_shadows(sv.StateVector.zero(2), 0, seed=13), subsystem)
+
+
+def test_estimate_rdm_rejects_oversized_snapshot_sets_before_building():
+    """10^5 shots on 8 kept qubits would be about 10^5 snapshots of 1 MiB."""
+    rng = np.random.default_rng(6)
+    shots, n = 10**5, 8
+    shadows = ShadowSet(n, rng.integers(0, 3, (shots, n), dtype=np.int8),
+                        (1 - 2 * rng.integers(0, 2, (shots, n))).astype(np.int8))
+    def rejected():
+        with pytest.raises(ValueError, match="distinct snapshots on 8 qubits"):
+            estimate_rdm(shadows, range(n))
+    assert _peak(rejected) <= 16 * 2**20
 
 
 def test_csv_round_trip_shape():
